@@ -37,6 +37,7 @@ from .randtests import (
     IDEAL_VALUES,
     EntReport,
     NistLiteReport,
+    analyze,
     compare_reports,
     ent_analyze,
     monte_carlo_pi,
@@ -82,6 +83,7 @@ __all__ = [
     "SelectionTrace",
     "VonNeumannExtractor",
     "WhitenConfig",
+    "analyze",
     "compare_reports",
     "ent_analyze",
     "figure_csv",

@@ -6,11 +6,17 @@ BLOCK_BYTES = 1 << 20
 
 
 def read_up_to(source, n: int) -> bytes:
-    """Read up to n bytes, looping over short reads; shorter only at EOF."""
+    """Read up to n bytes, looping over short reads; shorter only at EOF.
+
+    Each ``source.read`` asks for at most ``BLOCK_BYTES``: a file object
+    allocates the whole request up front, so a size taken from a lying
+    header must not reach it. Memory stays bounded by the bytes the source
+    really holds.
+    """
     parts = []
     remaining = n
     while remaining > 0:
-        chunk = source.read(remaining)
+        chunk = source.read(min(remaining, BLOCK_BYTES))
         if not chunk:
             break
         parts.append(chunk)

@@ -31,7 +31,7 @@ from .permutation import (
     pool_load,
     pool_save,
 )
-from .randtests import compare_reports, ent_analyze, nist_lite
+from .randtests import analyze, compare_reports, ent_analyze
 from .reports import (
     figure_csv,
     parse_report_csv,
@@ -98,6 +98,13 @@ class _Settings:
         return value
 
 
+def _umask() -> int:
+    """The process umask; ``os.umask`` can only read it by setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 @contextlib.contextmanager
 def _atomic_output(path: str):
     """Write to a temp file and rename into place only on success."""
@@ -106,6 +113,8 @@ def _atomic_output(path: str):
     fh = os.fdopen(fd, "wb")
     try:
         yield fh
+        # mkstemp creates 0600; give the output the mode open() would.
+        os.fchmod(fd, 0o666 & ~_umask())
         fh.close()
         os.replace(tmp, path)
     except BaseException:
@@ -140,13 +149,16 @@ def _cmd_gen_pool(args: argparse.Namespace, config: dict) -> int:
     tag = settings.get("tag", default="")
     if count < 1:
         raise _UsageError("--count must be at least 1")
+    if max_qubits > DEFAULT_MAX_QUBITS:
+        raise _UsageError(f"--max-qubits above {DEFAULT_MAX_QUBITS} would write "
+                          "a pool that cannot be loaded")
     if mode not in SHUFFLE_MODES:
         raise _UsageError(
             f"unknown shuffle mode {mode!r} (use one of {sorted(SHUFFLE_MODES)})"
         )
-    rng = _make_selector(settings)
-    pool = generate_pool(n_qubits, count, rng, mode=mode,
-                         generator_tag=tag, max_qubits=max_qubits)
+    with _make_selector(settings) as rng:
+        pool = generate_pool(n_qubits, count, rng, mode=mode,
+                             generator_tag=tag, max_qubits=max_qubits)
     with _atomic_output(args.output) as fh:
         pool_save(pool, fh)
     _status(f"wrote {args.output}: {count} permutations of "
@@ -178,9 +190,9 @@ def _cmd_whiten(args: argparse.Namespace, config: dict) -> int:
         pool_count=pool.count,
         record_selections=trace_path is not None,
     )
-    selector = _make_selector(settings)
     workers = _workers(settings)
-    with open(args.input, "rb") as src, _atomic_output(args.output) as out:
+    with _make_selector(settings) as selector, open(args.input, "rb") as src, \
+            _atomic_output(args.output) as out:
         trace = whiten_stream(src, pool, cfg, selector, out, workers=workers)
     if trace_path is not None:
         with _atomic_output(trace_path) as fh:
@@ -208,11 +220,8 @@ def _cmd_unwhiten(args: argparse.Namespace, config: dict) -> int:
 
 def _cmd_analyze(args: argparse.Namespace, config: dict) -> int:
     with open(args.input, "rb") as fh:
-        ent = ent_analyze(fh)
+        ent, nist = analyze(fh)
     sys.stdout.write(render_ent_text(ent, title=args.input))
-    # The four-test battery reads bits, not byte bins; second pass.
-    with open(args.input, "rb") as fh:
-        nist = nist_lite(fh)
     sys.stdout.write("\n")
     sys.stdout.write(render_nist_text(nist))
     if args.csv:
@@ -296,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=tuple(sorted(SHUFFLE_MODES)),
                    help="shuffle procedure (default fullrange)")
     p.add_argument("--max-qubits", type=int, metavar="Q",
-                   help=f"safety cap on N (default {DEFAULT_MAX_QUBITS})")
+                   help=f"safety cap on N, at most {DEFAULT_MAX_QUBITS} (the default)")
     p.add_argument("--tag", metavar="TEXT", help="free-form generator tag")
     p.set_defaults(func=_cmd_gen_pool)
 

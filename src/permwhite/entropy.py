@@ -47,6 +47,15 @@ class EntropySource:
     def read_bytes(self, n: int) -> bytes:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release whatever the source holds open; a no-op by default."""
+
+    def __enter__(self) -> "EntropySource":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def random_int(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], inclusive, via rejection sampling."""
         if lo > hi:

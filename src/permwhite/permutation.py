@@ -202,8 +202,9 @@ def pool_load(source: BinaryIO) -> MatrixPool:
         raise FormatError(f"bad magic {magic!r}: not a pool file")
     if version != POOL_VERSION:
         raise FormatError(f"unsupported pool format version {version}")
-    if n_qubits < 1:
-        raise FormatError(f"invalid n_qubits {n_qubits}")
+    if not 1 <= n_qubits <= DEFAULT_MAX_QUBITS:
+        raise FormatError(
+            f"invalid n_qubits {n_qubits} (must be 1..{DEFAULT_MAX_QUBITS})")
     if count < 1:
         raise FormatError(f"invalid permutation count {count}")
     tag = _read_exact(source, tag_len, "generator tag").decode("utf-8")

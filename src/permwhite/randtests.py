@@ -9,11 +9,14 @@ frequency, block frequency with 128-bit blocks, runs, and cumulative sums
 in both directions.
 
 Everything is computed in one streaming pass with bounded memory, using
-exact integer accumulators wherever possible.
+exact integer accumulators wherever possible. ``analyze`` feeds both
+batteries from a single read; the bit battery works on whole bytes through
+256-entry tables and never expands a byte into bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -72,7 +75,40 @@ class NistLiteReport:
         return all(self.pass_flags.values())
 
 
-class _StreamStats:
+def _byte_tables():
+    """Per-byte tables for the bit battery, bits read most significant first.
+
+    For a byte with bits x_1..x_8 and walk p_k = sum_{i<=k} (2 x_i - 1):
+    popcount, transitions between adjacent bits inside the byte, net step
+    p_8, and the walk's minimum and maximum over p_1..p_8. Built in plain
+    Python: numpy calls at import would add to every command's peak RSS.
+    """
+    rows = []
+    for byte in range(256):
+        bits = [(byte >> (7 - i)) & 1 for i in range(8)]
+        walk = list(itertools.accumulate(2 * x - 1 for x in bits))
+        intra = sum(a != b for a, b in zip(bits, bits[1:]))
+        rows.append((sum(bits), intra, walk[-1], min(walk), max(walk)))
+    return zip(*rows)
+
+
+POPCOUNT, INTRA, STEP, WMIN, WMAX = _byte_tables()   # tuples indexed by byte value
+
+
+def _translation(values) -> bytes:
+    """A ``bytes.translate`` table for values in [-128, 127], read back as
+    int8. ``translate`` does a 256-entry lookup several times faster than
+    numpy fancy indexing with a uint8 index."""
+    return bytes(v & 0xFF for v in values)
+
+
+_STEP_T = _translation(STEP)
+_LOW_T = _translation(lo - end for lo, end in zip(WMIN, STEP))   # relative to the byte's end
+_SPAN_T = _translation(hi - lo for hi, lo in zip(WMAX, WMIN))
+_BLOCK_FREQ_BYTES = _BLOCK_FREQ_BITS // 8
+
+
+class _ByteStats:
     """Single-pass accumulator behind the five byte-mode statistics."""
 
     def __init__(self):
@@ -85,12 +121,10 @@ class _StreamStats:
         self.mc_inside = 0
         self.mc_points = 0
 
-    def update(self, block: bytes) -> None:
-        if not block:
-            return
+    def update(self, block: bytes, counts: np.ndarray) -> None:
         arr = np.frombuffer(block, dtype=np.uint8)
         wide = arr.astype(np.int64)
-        self.counts += np.bincount(arr, minlength=256)
+        self.counts += counts
         if self.first is None:
             self.first = int(arr[0])
         else:
@@ -139,43 +173,157 @@ class _StreamStats:
             return 0.0, False
         return num / den, True
 
+    def report(self) -> EntReport:
+        if self.n < 6:
+            raise PreconditionError(
+                f"byte-mode battery needs at least 6 bytes, got {self.n}"
+            )
+        scc, defined = self.serial_correlation()
+        return EntReport(
+            entropy_bits_per_byte=self.entropy(),
+            chi_square=self.chi_square(),
+            arithmetic_mean=self.mean(),
+            monte_carlo_pi=self.monte_carlo_pi(),
+            serial_correlation=scc,
+            serial_correlation_defined=defined,
+            byte_count=self.n,
+        )
 
-def _consume(src: BinaryIO) -> _StreamStats:
-    stats = _StreamStats()
+
+class _BitStats:
+    """Single-pass accumulator behind the four-test bit battery.
+
+    Works on whole bytes through the 256-entry tables, so no bit is ever
+    expanded. The only per-byte state is one int32 walk buffer, reused
+    across reads because a fresh one costs as much in page faults as the
+    cumulative sum that fills it.
+    """
+
+    def __init__(self):
+        self.n = 0               # bits
+        self.ones = 0
+        self.transitions = 0
+        self.last = None         # final byte of the previous block
+        self.bf_anchor = 0       # S_k at the end of the last full 128-bit block
+        self.bf_sum_sq = 0       # sum over blocks of (ones_in_block - 64)^2
+        self.bf_blocks = 0
+        self.running = 0         # S_k after the last consumed bit
+        self.min_s = 0           # min over k >= 0 of S_k
+        self.max_s = 0
+        self._walk = np.empty(0, dtype=np.int32)
+
+    def update(self, block: bytes, counts: np.ndarray) -> None:
+        arr = np.frombuffer(block, dtype=np.uint8)
+        offset = self.n // 8
+        self.n += 8 * arr.size
+        self.ones += int(counts @ POPCOUNT)
+        # Runs: transitions inside each byte, then between adjacent bytes
+        # (low bit of one against the high bit of the next).
+        self.transitions += int(counts @ INTRA)
+        self.transitions += int(np.count_nonzero((arr[:-1] & 1) != (arr[1:] >> 7)))
+        if self.last is not None:
+            self.transitions += (self.last & 1) != (block[0] >> 7)
+        self.last = block[-1]
+
+        # walk[j] = S at the end of byte j, relative to self.running. int32
+        # is exact: a block holds at most BLOCK_BYTES = 2^20 bytes, so
+        # |walk| <= 2^23.
+        if self._walk.size < arr.size:
+            self._walk = np.empty(arr.size, dtype=np.int32)
+        walk = self._walk[:arr.size]
+        np.cumsum(np.frombuffer(block.translate(_STEP_T), dtype=np.int8),
+                  dtype=np.int32, out=walk)
+
+        # Block frequency: ends is S at each 128-bit block boundary this
+        # read reaches. A block over which S rises by d holds (128 + d) / 2
+        # ones, so (ones - 64)^2 = d^2 / 4; a partial last block is dropped.
+        ends =walk[(-offset - 1) % _BLOCK_FREQ_BYTES::_BLOCK_FREQ_BYTES]
+        if ends.size:
+            d = np.diff(ends, prepend=self.bf_anchor - self.running).astype(np.int64)
+            self.bf_sum_sq += int(d @ d) // 4
+            self.bf_blocks += d.size
+            self.bf_anchor = self.running + int(ends[-1])
+
+        # Cumulative sums: each byte's in-byte extremes, offset from the
+        # walk at its end, bound every S_k it contributes.
+        end = int(walk[-1])
+        walk += np.frombuffer(block.translate(_LOW_T), dtype=np.int8)
+        self.min_s = min(self.min_s, self.running + int(walk.min()))
+        walk += np.frombuffer(block.translate(_SPAN_T), dtype=np.int8)
+        self.max_s = max(self.max_s, self.running + int(walk.max()))
+        self.running += end
+
+    def report(self) -> NistLiteReport:
+        n, ones = self.n, self.ones
+        if n < _BLOCK_FREQ_BITS:
+            raise PreconditionError(
+                f"the four-test battery needs at least {_BLOCK_FREQ_BITS} bits, got {n}"
+            )
+
+        p_monobit = math.erfc(abs(2 * ones - n) / math.sqrt(n) / math.sqrt(2))
+
+        # chi^2 = 4 * M * sum((ones_i/M - 1/2)^2) with M = 128 reduces to sum_sq/32.
+        chi = self.bf_sum_sq / 32.0
+        p_block = float(gammaincc(self.bf_blocks / 2.0, chi / 2.0))
+
+        pi_ones = ones / n
+        if abs(pi_ones - 0.5) >= 2.0 / math.sqrt(n):
+            p_runs = 0.0
+        else:
+            v = self.transitions + 1
+            p_runs = math.erfc(
+                abs(v - 2.0 * n * pi_ones * (1.0 - pi_ones))
+                / (2.0 * math.sqrt(2.0 * n) * pi_ones * (1.0 - pi_ones))
+            )
+
+        running, min_s, max_s = self.running, self.min_s, self.max_s
+        z_fwd = max(max_s, -min_s)
+        z_bwd = max(running - min_s, max_s - running)
+        return NistLiteReport(
+            p_monobit=p_monobit,
+            p_block_frequency=p_block,
+            p_runs=p_runs,
+            p_cusum_forward=_cusum_pvalue(z_fwd, n),
+            p_cusum_backward=_cusum_pvalue(z_bwd, n),
+            bit_count=n,
+            ones_count=ones,
+        )
+
+
+def _consume(src: BinaryIO, *accumulators) -> tuple:
+    """Read ``src`` once in ``BLOCK_BYTES`` blocks, feeding every accumulator
+    each block and its 256-bin byte histogram; returns the accumulators."""
     while True:
         block = read_up_to(src, BLOCK_BYTES)
         if not block:
             break
-        stats.update(block)
+        counts = np.bincount(np.frombuffer(block, dtype=np.uint8), minlength=256)
+        for acc in accumulators:
+            acc.update(block, counts)
         if len(block) < BLOCK_BYTES:
             break
-    return stats
+    return accumulators
+
+
+def analyze(src: BinaryIO) -> tuple[EntReport, NistLiteReport]:
+    """Both batteries from one read of ``src``; the preconditions of
+    ``ent_analyze`` and ``nist_lite`` apply, in that order."""
+    byte_stats, bit_stats = _consume(src, _ByteStats(), _BitStats())
+    return byte_stats.report(), bit_stats.report()
 
 
 def ent_analyze(src: BinaryIO) -> EntReport:
     """All five byte-mode statistics in one pass. Needs at least 6 bytes."""
-    stats = _consume(src)
-    if stats.n < 6:
-        raise PreconditionError(
-            f"byte-mode battery needs at least 6 bytes, got {stats.n}"
-        )
-    scc, defined = stats.serial_correlation()
-    return EntReport(
-        entropy_bits_per_byte=stats.entropy(),
-        chi_square=stats.chi_square(),
-        arithmetic_mean=stats.mean(),
-        monte_carlo_pi=stats.monte_carlo_pi(),
-        serial_correlation=scc,
-        serial_correlation_defined=defined,
-        byte_count=stats.n,
-    )
+    (stats,) = _consume(src, _ByteStats())
+    return stats.report()
 
 
 def monte_carlo_pi(src: BinaryIO) -> float:
     """Estimate pi from disjoint 6-byte points (X, Y as 24-bit coordinates);
     a point is inside when X^2 + Y^2 <= (2^24 - 1)^2. Leftover bytes are
     ignored."""
-    return _consume(src).monte_carlo_pi()
+    (stats,) = _consume(src, _ByteStats())
+    return stats.monte_carlo_pi()
 
 
 def serial_correlation(src: BinaryIO) -> tuple[float, bool]:
@@ -184,7 +332,8 @@ def serial_correlation(src: BinaryIO) -> tuple[float, bool]:
     Returns (value, defined); a constant stream has zero variance, for
     which (0.0, False) is returned.
     """
-    return _consume(src).serial_correlation()
+    (stats,) = _consume(src, _ByteStats())
+    return stats.serial_correlation()
 
 
 def nist_lite(src: BinaryIO) -> NistLiteReport:
@@ -193,80 +342,8 @@ def nist_lite(src: BinaryIO) -> NistLiteReport:
     Requires at least 128 bits (the block-frequency test needs one full
     block; monobit alone would need 100).
     """
-    ones = 0
-    n = 0
-    transitions = 0
-    prev_bit = None
-    bf_carry = b""
-    bf_sum_sq = 0        # sum over blocks of (ones_in_block - 64)^2
-    bf_blocks = 0
-    running = 0          # S_k after the last consumed bit
-    min_s = 0            # min over k >= 0 of S_k
-    max_s = 0
-
-    while True:
-        block = read_up_to(src, BLOCK_BYTES)
-        if not block:
-            break
-        bits = np.unpackbits(np.frombuffer(block, dtype=np.uint8))
-        n += bits.size
-        ones += int(np.count_nonzero(bits))
-        if prev_bit is not None and bits[0] != prev_bit:
-            transitions += 1
-        transitions += int(np.count_nonzero(bits[1:] != bits[:-1]))
-        prev_bit = int(bits[-1])
-
-        steps = bits.astype(np.int64) * 2 - 1
-        sums = np.cumsum(steps) + running
-        min_s = min(min_s, int(sums.min()))
-        max_s = max(max_s, int(sums.max()))
-        running = int(sums[-1])
-
-        data = bf_carry + block
-        usable = len(data) - len(data) % (_BLOCK_FREQ_BITS // 8)
-        if usable:
-            grp = np.unpackbits(
-                np.frombuffer(data, dtype=np.uint8, count=usable)
-            ).reshape(-1, _BLOCK_FREQ_BITS)
-            dev = grp.sum(axis=1, dtype=np.int64) - _BLOCK_FREQ_BITS // 2
-            bf_sum_sq += int(dev @ dev)
-            bf_blocks += grp.shape[0]
-        bf_carry = data[usable:]
-        if len(block) < BLOCK_BYTES:
-            break
-
-    if n < _BLOCK_FREQ_BITS:
-        raise PreconditionError(
-            f"the four-test battery needs at least {_BLOCK_FREQ_BITS} bits, got {n}"
-        )
-
-    p_monobit = math.erfc(abs(2 * ones - n) / math.sqrt(n) / math.sqrt(2))
-
-    # chi^2 = 4 * M * sum((ones_i/M - 1/2)^2) with M = 128 reduces to sum_sq/32.
-    chi = bf_sum_sq / 32.0
-    p_block = float(gammaincc(bf_blocks / 2.0, chi / 2.0))
-
-    pi_ones = ones / n
-    if abs(pi_ones - 0.5) >= 2.0 / math.sqrt(n):
-        p_runs = 0.0
-    else:
-        v = transitions + 1
-        p_runs = math.erfc(
-            abs(v - 2.0 * n * pi_ones * (1.0 - pi_ones))
-            / (2.0 * math.sqrt(2.0 * n) * pi_ones * (1.0 - pi_ones))
-        )
-
-    z_fwd = max(max_s, -min_s)
-    z_bwd = max(running - min_s, max_s - running)
-    return NistLiteReport(
-        p_monobit=p_monobit,
-        p_block_frequency=p_block,
-        p_runs=p_runs,
-        p_cusum_forward=_cusum_pvalue(z_fwd, n),
-        p_cusum_backward=_cusum_pvalue(z_bwd, n),
-        bit_count=n,
-        ones_count=ones,
-    )
+    (stats,) = _consume(src, _BitStats())
+    return stats.report()
 
 
 def _cusum_pvalue(z: int, n: int) -> float:

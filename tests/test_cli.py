@@ -2,6 +2,9 @@
 
 import io
 import os
+import stat
+import struct
+import zlib
 
 import pytest
 
@@ -245,6 +248,59 @@ def test_exit_code_input_too_short(tmp_path):
     path.write_bytes(b"\x01\x02\x03")
     rc = run_cli("analyze", str(path))
     assert rc == 5
+
+
+# A file object allocates a read request in full before reading, which a
+# BytesIO never does, so hostile headers are tested on real files.
+
+def test_lying_trace_header_is_format_error(tmp_path, pool_file, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"\x00" * 16)
+    trace = tmp_path / "lying.trace"
+    trace.write_bytes(struct.pack("<4sHIQ", b"PWTR", 1, 8, 1 << 40))
+    out = tmp_path / "out.bin"
+    rc = run_cli("unwhiten", str(src), str(out), "--pool", str(pool_file),
+                 "--trace", str(trace))
+    assert rc == 4
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_qubits, count", [(40, 1), (17, 1), (3, 2**32 - 1)])
+def test_lying_pool_header_is_format_error(tmp_path, capsys, n_qubits, count):
+    record = struct.pack("<8I", *range(8))
+    pool = tmp_path / "lying.pool"
+    pool.write_bytes(struct.pack("<4sHBBIH", b"PWPL", 1, n_qubits, 0, count, 0)
+                     + record + struct.pack("<I", zlib.crc32(record)))
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"\x00" * 16)
+    out = tmp_path / "out.bin"
+    rc = run_cli("whiten", str(src), str(out), "--pool", str(pool),
+                 "--source", "det")
+    assert rc == 4
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_pool_rejects_cap_above_loadable_size(tmp_path):
+    rc = run_cli("gen-pool", str(tmp_path / "big.pool"), "--n-qubits", "17",
+                 "--max-qubits", "17", "--source", "det")
+    assert rc == 2
+    assert not (tmp_path / "big.pool").exists()
+
+
+def test_output_mode_follows_umask(tmp_path, pool_file):
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(range(64)))
+    out = tmp_path / "out.bin"
+    old = os.umask(0o027)
+    try:
+        rc = run_cli("whiten", str(src), str(out), "--pool", str(pool_file),
+                     "--source", "det")
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
 
 
 def test_exit_code_bad_flag():

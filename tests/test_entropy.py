@@ -132,6 +132,17 @@ def test_seed_file_sequential():
     assert src.read_bytes(2) == bytes([4, 5])
 
 
+def test_sources_close_as_context_managers(tmp_path):
+    path = tmp_path / "seed.bin"
+    path.write_bytes(bytes(range(16)))
+    with SeedFileSource(path) as src:
+        assert src.read_bytes(4) == bytes([0, 1, 2, 3])
+    with pytest.raises(ValueError):   # read of a closed file
+        src.read_bytes(1)
+    with CounterSource("ctx") as det, OsEntropy() as osrc:
+        assert len(det.read_bytes(4)) == len(osrc.read_bytes(4)) == 4
+
+
 def test_make_source_factory():
     assert isinstance(make_source("os"), OsEntropy)
     assert isinstance(make_source("det", det_key="k"), CounterSource)
