@@ -24,6 +24,17 @@ def read_up_to(source, n: int) -> bytes:
     return b"".join(parts)
 
 
+def iter_blocks(source, size: int = BLOCK_BYTES):
+    """Yield ``size``-byte blocks of ``source`` until a short read; the
+    last block may be shorter, and no block is empty."""
+    while True:
+        block = read_up_to(source, size)
+        if block:
+            yield block
+        if len(block) < size:
+            return
+
+
 def read_exact(source, n: int, what: str) -> bytes:
     """Read exactly n bytes or raise FormatError naming the missing piece."""
     got = read_up_to(source, n)

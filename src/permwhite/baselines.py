@@ -7,25 +7,18 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._util import BLOCK_BYTES as _BLOCK_BYTES
-from ._util import read_up_to as _read_up_to
+from ._util import iter_blocks
 
 
 def xor_combine(a: BinaryIO, b: BinaryIO, out: BinaryIO) -> int:
     """XOR two byte streams; stops at the shorter one. Returns bytes written."""
     written = 0
-    while True:
-        ba = _read_up_to(a, _BLOCK_BYTES)
-        bb = _read_up_to(b, _BLOCK_BYTES)
+    for ba, bb in zip(iter_blocks(a), iter_blocks(b)):
         n = min(len(ba), len(bb))
-        if n == 0:
-            break
         xa = np.frombuffer(ba, dtype=np.uint8, count=n)
         xb = np.frombuffer(bb, dtype=np.uint8, count=n)
         out.write((xa ^ xb).tobytes())
         written += n
-        if len(ba) < _BLOCK_BYTES or len(bb) < _BLOCK_BYTES:
-            break
     return written
 
 
@@ -66,10 +59,7 @@ def von_neumann(input: BinaryIO, out: BinaryIO) -> int:
     extractor = VonNeumannExtractor()
     carry = np.empty(0, dtype=np.uint8)
     emitted = 0
-    while True:
-        block = _read_up_to(input, _BLOCK_BYTES)
-        if not block:
-            break
+    for block in iter_blocks(input):
         outbits = extractor.feed_bits(np.unpackbits(np.frombuffer(block, dtype=np.uint8)))
         emitted += outbits.size
         carry = np.concatenate((carry, outbits)) if carry.size else outbits
@@ -77,8 +67,6 @@ def von_neumann(input: BinaryIO, out: BinaryIO) -> int:
         if whole:
             out.write(np.packbits(carry[:whole]).tobytes())
             carry = carry[whole:]
-        if len(block) < _BLOCK_BYTES:
-            break
     extractor.finish()
     if carry.size:
         out.write(np.packbits(carry).tobytes())

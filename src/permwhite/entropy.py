@@ -15,8 +15,9 @@ reproduce it exactly:
     block(i) = SHAKE-256(key || i as 8-byte big-endian) -> 8192 bytes
     stream = block(c0) || block(c0 + 1) || ...
 
-where ``c0`` is the starting counter. String key material is UTF-8 encoded
-before hashing.
+where ``c0`` is the starting counter, in ``[0, 2**64)``; a stream that
+would need block ``2**64`` raises ``EntropyExhausted``. String key material
+is UTF-8 encoded before hashing.
 
 Integer draws use rejection sampling: a draw from ``[lo, hi]`` with span
 ``s = hi - lo + 1`` reads ``ceil(k/8)`` bytes per attempt, where ``k`` is the
@@ -34,9 +35,11 @@ from typing import BinaryIO, Union
 
 import numpy as np
 
+from ._util import read_up_to
 from .errors import EntropyExhausted
 
 _BLOCK_BYTES = 8192
+_COUNTER_LIMIT = 1 << 64    # the counter is encoded in 8 bytes
 
 
 class EntropySource:
@@ -80,25 +83,35 @@ class EntropySource:
     def random_indices(self, m: int, count: int) -> np.ndarray:
         """``count`` independent draws of ``random_index(m)`` as a uint32 array.
 
-        For power-of-two ``m`` the draws are batched (one contiguous read);
-        the byte consumption and results are identical to ``count`` scalar
-        calls because such spans never reject.
+        Each round reads one word for every draw still owed and keeps the
+        words below ``m``. Every owed draw needs at least one more word, so
+        the draws consume exactly the bytes, in the same order, that
+        ``count`` scalar calls would, and return the same values.
         """
-        if m < 1:
-            raise ValueError("m must be >= 1")
+        if not 1 <= m <= 1 << 32:
+            raise ValueError("m must be in [1, 2**32]")
         if count < 0:
             raise ValueError("count must be >= 0")
+        out = np.zeros(count, dtype=np.uint32)
         if m == 1:
-            return np.zeros(count, dtype=np.uint32)
+            return out
         k = (m - 1).bit_length()
         nbytes = (k + 7) // 8
-        if m == (1 << k) and nbytes in (1, 2, 4) and count > 0:
-            raw = self.read_bytes(nbytes * count)
-            arr = np.frombuffer(raw, dtype=f">u{nbytes}").astype(np.uint32)
-            return arr & np.uint32((1 << k) - 1)
-        out = np.empty(count, dtype=np.uint32)
-        for i in range(count):
-            out[i] = self.random_int(1, m) - 1
+        filled = 0
+        while filled < count:
+            owed = count - filled
+            raw = np.frombuffer(self.read_bytes(nbytes * owed), dtype=np.uint8)
+            words = raw.reshape(owed, nbytes)
+            # Big-endian words, assembled one byte column at a time because
+            # 3-byte words have no numpy dtype.
+            values = words[:, 0].astype(np.uint32)
+            for j in range(1, nbytes):
+                values <<= 8
+                values |= words[:, j]
+            values &= np.uint32((1 << k) - 1)
+            kept = values[values < m]
+            out[filled:filled + kept.size] = kept
+            filled += kept.size
         return out
 
 
@@ -124,19 +137,14 @@ class SeedFileSource(EntropySource):
         self.offset = 0
 
     def read_bytes(self, n: int) -> bytes:
-        parts = []
-        remaining = n
-        while remaining > 0:
-            chunk = self._fh.read(remaining)
-            if not chunk:
-                raise EntropyExhausted(
-                    f"seed file exhausted at offset {self.offset} "
-                    f"({n - remaining} of {n} bytes available)"
-                )
-            parts.append(chunk)
-            remaining -= len(chunk)
-            self.offset += len(chunk)
-        return b"".join(parts)
+        data = read_up_to(self._fh, n)
+        self.offset += len(data)
+        if len(data) < n:
+            raise EntropyExhausted(
+                f"seed file exhausted at offset {self.offset} "
+                f"({len(data)} of {n} bytes available)"
+            )
+        return data
 
     def close(self) -> None:
         if self._owns:
@@ -151,12 +159,16 @@ class CounterSource(EntropySource):
     def __init__(self, key: Union[str, bytes] = "permwhite", counter_start: int = 0):
         if isinstance(key, str):
             key = key.encode("utf-8")
+        if not 0 <= counter_start < _COUNTER_LIMIT:
+            raise ValueError(f"counter_start must be in [0, 2**64), got {counter_start}")
         self._key = hashlib.sha256(key).digest()
         self._counter = counter_start
         self._buf = b""
         self._off = 0
 
     def _block(self, index: int) -> bytes:
+        if index >= _COUNTER_LIMIT:
+            raise EntropyExhausted("deterministic stream ran past block 2**64 - 1")
         return hashlib.shake_256(self._key + index.to_bytes(8, "big")).digest(_BLOCK_BYTES)
 
     def read_bytes(self, n: int) -> bytes:

@@ -24,7 +24,7 @@ from typing import BinaryIO
 import numpy as np
 from scipy.special import gammaincc, ndtr
 
-from ._util import BLOCK_BYTES, read_up_to
+from ._util import BLOCK_BYTES, iter_blocks
 from .errors import PreconditionError
 
 # Distance-to-ideal targets used for improvement verdicts.
@@ -145,7 +145,8 @@ class _ByteStats:
 
     def entropy(self) -> float:
         p = self.counts[self.counts > 0] / self.n
-        return float(-(p * np.log2(p)).sum())
+        # + 0.0 turns the -0.0 of a constant file into 0.0.
+        return float(-(p * np.log2(p)).sum()) + 0.0
 
     def chi_square(self) -> float:
         expected = self.n / 256.0
@@ -293,15 +294,12 @@ class _BitStats:
 def _consume(src: BinaryIO, *accumulators) -> tuple:
     """Read ``src`` once in ``BLOCK_BYTES`` blocks, feeding every accumulator
     each block and its 256-bin byte histogram; returns the accumulators."""
-    while True:
-        block = read_up_to(src, BLOCK_BYTES)
-        if not block:
-            break
+    # Looked up here, not bound as iter_blocks' default, so that tests can
+    # move block boundaries by patching this module's BLOCK_BYTES.
+    for block in iter_blocks(src, BLOCK_BYTES):
         counts = np.bincount(np.frombuffer(block, dtype=np.uint8), minlength=256)
         for acc in accumulators:
             acc.update(block, counts)
-        if len(block) < BLOCK_BYTES:
-            break
     return accumulators
 
 

@@ -35,19 +35,21 @@ NIST_ROWS = (
 _LABEL_W = 34
 
 
+def _shown(report: EntReport, field: str, places: int) -> str:
+    if field == "serial_correlation" and not report.serial_correlation_defined:
+        return "undefined"
+    return f"{getattr(report, field):.{places}f}"
+
+
 def render_ent_text(report: EntReport, title: str = "") -> str:
     lines = []
     if title:
         lines.append(title)
     lines.append(f"{'Parameter':<{_LABEL_W}}{'Value':>16}{'Ideal':>16}")
     for label, field, places in ENT_ROWS:
-        value = getattr(report, field)
         ideal = IDEAL_VALUES[field]
-        if field == "serial_correlation" and not report.serial_correlation_defined:
-            shown = "undefined"
-        else:
-            shown = f"{value:.{places}f}"
-        lines.append(f"{label:<{_LABEL_W}}{shown:>16}{ideal:>16.{places}f}")
+        lines.append(f"{label:<{_LABEL_W}}{_shown(report, field, places):>16}"
+                     f"{ideal:>16.{places}f}")
     lines.append(f"{'Bytes analyzed':<{_LABEL_W}}{report.byte_count:>16}")
     return "\n".join(lines) + "\n"
 
@@ -115,11 +117,11 @@ def render_comparison(before: EntReport, after: EntReport,
         f"{'Ideal':>16}{'Verdict':>12}"
     ]
     for label, field, places in ENT_ROWS:
-        b = getattr(before, field)
-        a = getattr(after, field)
+        b = _shown(before, field, places)
+        a = _shown(after, field, places)
         ideal = IDEAL_VALUES[field]
         lines.append(
-            f"{label:<{_LABEL_W}}{b:>16.{places}f}{a:>16.{places}f}"
+            f"{label:<{_LABEL_W}}{b:>16}{a:>16}"
             f"{ideal:>16.{places}f}{verdicts[field]:>12}"
         )
     return "\n".join(lines) + "\n"

@@ -18,8 +18,8 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
+from ._util import iter_blocks
 from ._util import read_exact as _read_exact
-from ._util import read_up_to as _read_up_to
 from .entropy import EntropySource
 from .errors import FormatError
 from .permutation import MatrixPool
@@ -37,9 +37,6 @@ class WhitenConfig:
 
     n_qubits: int = 13
     pool_count: int = 32
-    shuffle_mode: str = "fullrange"
-    selection_source: str = "os"
-    tail_policy: str = "passthrough"
     record_selections: bool = False
 
 
@@ -90,8 +87,6 @@ def whiten_stream(
             f"pool/config mismatch: pool has {pool.count} permutations, "
             f"config expects {cfg.pool_count}"
         )
-    if cfg.tail_policy != "passthrough":
-        raise ValueError(f"unknown tail policy: {cfg.tail_policy!r}")
 
     maps = [p.map for p in pool.permutations]
     recorded = [] if cfg.record_selections else None
@@ -163,16 +158,11 @@ def _transform(input, output, chunk_bits, maps, draw, workers):
         return np.packbits(out.ravel()).tobytes()
 
     def batches():
-        while True:
-            buf = _read_up_to(input, batch_bytes)
-            if not buf:
-                return
+        for buf in iter_blocks(input, batch_bytes):
             full = len(buf) - len(buf) % align
             tail = buf[full:]
             n_chunks = full * 8 // chunk_bits
             yield buf[:full], draw(n_chunks), tail
-            if len(buf) < batch_bytes:
-                return
 
     if workers <= 1:
         for body, sel, tail in batches():

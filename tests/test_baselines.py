@@ -3,11 +3,18 @@
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permwhite._util import BLOCK_BYTES
 from permwhite.baselines import VonNeumannExtractor, von_neumann, xor_combine
 from permwhite.entropy import CounterSource
+
+
+class OneByteReads(io.BytesIO):
+    def read(self, n=-1):
+        return super().read(1 if n is None or n < 0 else min(1, n))
 
 
 def xor_bytes(a, b):
@@ -34,10 +41,24 @@ def test_xor_known_pattern():
     assert out == b"\xaa" * 16
 
 
-def test_xor_stops_at_shorter_stream():
-    out, n = xor_bytes(b"\x0f" * 100, b"\xf0" * 7)
-    assert n == 7
-    assert out == b"\xff" * 7
+B = BLOCK_BYTES
+
+
+@pytest.mark.parametrize("len_a, len_b, reader", [
+    (100, 7, io.BytesIO),
+    (B + 5, 2 * B + 3, io.BytesIO),
+    (2 * B + 3, B + 5, io.BytesIO),
+    (B + 5, 2 * B + 3, OneByteReads),
+], ids=["100-7", "B+5-2B+3", "2B+3-B+5", "one-byte-reads"])
+def test_xor_stops_at_shorter_stream(len_a, len_b, reader):
+    a = CounterSource("xor-a").read_bytes(len_a)
+    b = CounterSource("xor-b").read_bytes(len_b)
+    out = io.BytesIO()
+    n = xor_combine(reader(a), io.BytesIO(b), out)
+    short = min(len_a, len_b)
+    assert n == short
+    expected = np.frombuffer(a, np.uint8, short) ^ np.frombuffer(b, np.uint8, short)
+    assert out.getvalue() == expected.tobytes()
 
 
 def test_xor_empty():
@@ -101,11 +122,6 @@ def test_vn_block_boundary_independence():
     data = CounterSource("vn-split").read_bytes(4099)
     whole, count = vn_bytes(data)
     out = io.BytesIO()
-
-    class OneByteReads(io.BytesIO):
-        def read(self, n=-1):
-            return super().read(1 if n is None or n < 0 else min(1, n))
-
     count2 = von_neumann(OneByteReads(data), out)
     assert count2 == count
     assert out.getvalue() == whole

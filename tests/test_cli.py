@@ -154,9 +154,22 @@ def test_analyze_cyclic_file(tmp_path, capsys):
 def test_analyze_reports_undefined_scc(tmp_path, capsys):
     path = tmp_path / "zeros.bin"
     path.write_bytes(b"\x00" * 4096)
-    rc = run_cli("analyze", str(path))
+    report = tmp_path / "zeros.csv"
+    rc = run_cli("analyze", str(path), "--csv", str(report))
     assert rc == 0
-    assert "undefined" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "undefined" in out
+    assert "-0.000000" not in out
+    assert "entropy_bits_per_byte,0\n" in report.read_text()
+
+    other = tmp_path / "random.bin"
+    other.write_bytes(CounterSource("cli-zeros").read_bytes(4096))
+    assert run_cli("compare", str(path), str(other)) == 0
+    out = capsys.readouterr().out
+    assert "-0.000000" not in out
+    (scc_row,) = [line for line in out.splitlines()
+                  if line.startswith("Serial Correlation")]
+    assert scc_row.split()[3:5] == ["undefined", "0.011342"]
 
 
 def test_analyze_csv_output(tmp_path, capsys):
@@ -284,9 +297,23 @@ def test_lying_pool_header_is_format_error(tmp_path, capsys, n_qubits, count):
 
 def test_gen_pool_rejects_cap_above_loadable_size(tmp_path):
     rc = run_cli("gen-pool", str(tmp_path / "big.pool"), "--n-qubits", "17",
-                 "--max-qubits", "17", "--source", "det")
+                 "--source", "det")
     assert rc == 2
     assert not (tmp_path / "big.pool").exists()
+
+
+# Two 4096-bit permutations draw 2 * 8192 bytes: from counter 2**64 - 1,
+# the second block would need a counter the 8-byte encoding cannot hold.
+@pytest.mark.parametrize("counter, expected", [
+    (-1, 2), (2**64, 2), (2**64 - 1, 3),
+])
+def test_gen_pool_counter_outside_64_bits(tmp_path, capsys, counter, expected):
+    out = tmp_path / "x.pool"
+    rc = run_cli("gen-pool", str(out), "--n-qubits", "12", "--count", "2",
+                 "--source", "det", "--counter", str(counter))
+    assert rc == expected
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_output_mode_follows_umask(tmp_path, pool_file):

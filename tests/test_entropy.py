@@ -160,16 +160,42 @@ def test_random_indices_matches_scalar_power_of_two():
     assert batched.tolist() == scalar
 
 
-def test_random_indices_matches_scalar_general():
-    batched = CounterSource("vec3").random_indices(3, 2000)
-    scalar_src = CounterSource("vec3")
-    scalar = [scalar_src.random_index(3) for _ in range(2000)]
+# 1-, 1-, 1-, 2-, 3- and 4-byte rejection words
+@pytest.mark.parametrize("m", [3, 5, 33, 300, 65537, (1 << 24) + 3])
+def test_random_indices_matches_scalar_general(m):
+    batched = CounterSource(f"vec{m}").random_indices(m, 2000)
+    scalar_src = CounterSource(f"vec{m}")
+    scalar = [scalar_src.random_index(m) for _ in range(2000)]
     assert batched.tolist() == scalar
-    assert set(batched.tolist()) <= {0, 1, 2}
+    assert int(batched.max()) < m
+
+    seed = CounterSource(f"seed{m}").read_bytes(20_000)
+    batched_src = SeedFileSource(io.BytesIO(seed))
+    scalar_src = SeedFileSource(io.BytesIO(seed))
+    assert batched_src.random_indices(m, 500).tolist() == [
+        scalar_src.random_index(m) for _ in range(500)]
+    assert batched_src.offset == scalar_src.offset
+
+    # a seed too short for the batch runs dry at the same offset
+    short = seed[:batched_src.offset - 1]
+    batched_src = SeedFileSource(io.BytesIO(short))
+    scalar_src = SeedFileSource(io.BytesIO(short))
+    with pytest.raises(EntropyExhausted):
+        batched_src.random_indices(m, 500)
+    with pytest.raises(EntropyExhausted):
+        for _ in range(500):
+            scalar_src.random_index(m)
+    assert batched_src.offset == scalar_src.offset == len(short)
 
 
 def test_random_indices_empty():
     assert CounterSource("e").random_indices(8, 0).size == 0
+
+
+@pytest.mark.parametrize("m", [0, 2**32 + 1])
+def test_random_indices_rejects_m_outside_uint32(m):
+    with pytest.raises(ValueError):
+        CounterSource("range").random_indices(m, 1)
 
 
 def test_dice_frequencies_within_three_sigma():

@@ -46,8 +46,13 @@ def test_text_report_ideal_column():
 
 
 def test_undefined_scc_rendered():
-    text = render_ent_text(sample_report(serial_correlation_defined=False))
+    undefined = sample_report(serial_correlation_defined=False)
+    text = render_ent_text(undefined)
     assert "undefined" in text
+    text = render_comparison(undefined, sample_report(),
+                             compare_reports(undefined, sample_report()))
+    (row,) = [line for line in text.splitlines() if line.startswith("Serial")]
+    assert row.split()[3:] == ["undefined", "-0.000668", "0.000000", "undefined"]
 
 
 def test_csv_round_trip_is_lossless():
