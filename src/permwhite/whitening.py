@@ -29,6 +29,7 @@ TRACE_VERSION = 1
 _TRACE_HEADER = struct.Struct("<4sHIQ")
 
 _BATCH_TARGET_BYTES = 1 << 20
+_GATHER_SPAN_BITS = 1 << 19
 
 
 @dataclass
@@ -88,21 +89,22 @@ def whiten_stream(
             f"config expects {cfg.pool_count}"
         )
 
-    maps = [p.map for p in pool.permutations]
-    recorded = [] if cfg.record_selections else None
+    maps = np.array([p.map for p in pool.permutations], dtype=np.intp)
+    # One growing buffer, viewed as the trace at the end without a copy.
+    recorded = bytearray() if cfg.record_selections else None
 
     def draw(n_chunks: int) -> np.ndarray:
         sel = selector.random_indices(pool.count, n_chunks)
         if recorded is not None:
-            recorded.append(sel)
+            recorded.extend(np.ascontiguousarray(sel, dtype="<u4"))
         return sel
 
     _transform(input, output, pool.size, maps, draw, workers)
 
     if recorded is None:
         return None
-    idx = np.concatenate(recorded) if recorded else np.empty(0, dtype=np.uint32)
-    return SelectionTrace(chunk_bits=pool.size, indices=idx)
+    return SelectionTrace(chunk_bits=pool.size,
+                          indices=np.frombuffer(recorded, dtype="<u4"))
 
 
 def unwhiten_stream(
@@ -122,7 +124,11 @@ def unwhiten_stream(
             f"trace selects index {int(trace.indices.max())} "
             f"but the pool holds only {pool.count} permutations"
         )
-    inverse_maps = [p.invert().map for p in pool.permutations]
+    # Pool members are validated bijections, so invert them directly.
+    inverse_maps = np.empty((pool.count, pool.size), dtype=np.intp)
+    positions = np.arange(pool.size, dtype=np.intp)
+    for inv, perm in zip(inverse_maps, pool.permutations):
+        inv[perm.map] = positions
     consumed = 0
 
     def draw(n_chunks: int) -> np.ndarray:
@@ -144,18 +150,14 @@ def unwhiten_stream(
 
 
 def _transform(input, output, chunk_bits, maps, draw, workers):
-    """Shared streaming loop. ``draw(n)`` supplies pool indices per batch."""
+    """Shared streaming loop. ``draw(n)`` supplies pool indices per batch;
+    ``maps`` is an (M, chunk_bits) intp array, ``out[i] = in[maps[m, i]]``."""
     align = chunk_bits // 8 if chunk_bits >= 8 else 1
     batch_bytes = max(align, _BATCH_TARGET_BYTES // align * align)
-
-    def process(buf: bytes, sel: np.ndarray) -> bytes:
-        bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8))
-        chunks = bits.reshape(-1, chunk_bits)
-        out = np.empty_like(chunks)
-        for m in np.unique(sel):
-            rows = np.nonzero(sel == m)[0]
-            out[rows] = chunks[rows][:, maps[m]]
-        return np.packbits(out.ravel()).tobytes()
+    if chunk_bits <= 8:
+        process = _table_kernel(maps, chunk_bits)
+    else:
+        process = _gather_kernel(maps, chunk_bits)
 
     def batches():
         for buf in iter_blocks(input, batch_bytes):
@@ -180,6 +182,53 @@ def _transform(input, output, chunk_bits, maps, draw, workers):
                 _flush_one(pending, output)
         while pending:
             _flush_one(pending, output)
+
+
+def _table_kernel(maps, chunk_bits):
+    """Chunks of at most 8 bits: each byte holds 8/N whole chunks, and one
+    2^N-entry table per pool member maps a chunk value to its permuted
+    value. The tables are stored flat, member m at ``m << N``."""
+    top = chunk_bits - 1
+    values = np.arange(1 << chunk_bits, dtype=np.uint8)
+    tables = np.zeros((len(maps), 1 << chunk_bits), dtype=np.uint8)
+    for i in range(chunk_bits):
+        # Output bit i (bit 0 is the chunk's most significant) is input bit maps[:, i].
+        src_shift = (top - maps[:, i]).astype(np.uint8)[:, None]
+        tables |= ((values >> src_shift) & 1) << np.uint8(top - i)
+    tables = tables.ravel()
+    mask = (1 << chunk_bits) - 1
+    per_byte = 8 // chunk_bits
+
+    def process(buf: bytes, sel: np.ndarray) -> bytes:
+        data = np.frombuffer(buf, dtype=np.uint8)
+        out = np.zeros_like(data)
+        for j in range(per_byte):
+            shift = 8 - chunk_bits * (j + 1)
+            idx = (sel[j::per_byte].astype(np.intp) << chunk_bits) | ((data >> shift) & mask)
+            out |= tables.take(idx) << shift
+        return out.tobytes()
+
+    return process
+
+
+def _gather_kernel(maps, chunk_bits):
+    """Chunks of more than 8 bits: unpack to one byte per bit, gather each
+    member's rows through its map, and pack again."""
+    # Rows per gather: at most _GATHER_SPAN_BITS unpacked bits at a time, so a
+    # member selected by many chunks (small M) stays in cache.
+    step = max(1, _GATHER_SPAN_BITS // chunk_bits)
+
+    def process(buf: bytes, sel: np.ndarray) -> bytes:
+        chunks = np.unpackbits(np.frombuffer(buf, dtype=np.uint8)).reshape(-1, chunk_bits)
+        out = np.empty_like(chunks)
+        for m in np.unique(sel):
+            rows = np.nonzero(sel == m)[0]
+            for start in range(0, rows.size, step):
+                part = rows[start:start + step]
+                out[part] = np.take(chunks[part], maps[m], axis=1)
+        return np.packbits(out).tobytes()
+
+    return process
 
 
 def _flush_one(pending, output):

@@ -1,0 +1,135 @@
+"""The streaming whitening kernel, chunk by chunk, against
+``IndexPermutation.apply``: both kernel paths (byte tables for chunks of at
+most 8 bits, bit gather above), batch boundaries, tails, worker counts,
+and the memory a recorded trace costs."""
+
+import io
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from permwhite.entropy import CounterSource
+from permwhite.permutation import IndexPermutation, MatrixPool
+from permwhite.whitening import WhitenConfig, unwhiten_stream, whiten_stream
+
+MIB = 1 << 20
+
+
+def random_pool(n_qubits, count, seed):
+    rng = np.random.default_rng(seed)
+    perms = tuple(IndexPermutation(rng.permutation(1 << n_qubits))
+                  for _ in range(count))
+    return MatrixPool(n_qubits=n_qubits, permutations=perms)
+
+
+def whiten(data, pool, workers=1, key="kernel-sel"):
+    cfg = WhitenConfig(n_qubits=pool.n_qubits, pool_count=pool.count,
+                       record_selections=True)
+    out = io.BytesIO()
+    trace = whiten_stream(io.BytesIO(data), pool, cfg, CounterSource(key), out,
+                          workers=workers)
+    return out.getvalue(), trace
+
+
+def chunk_bits_of(data, chunk_bits, n_chunks):
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    return bits[:n_chunks * chunk_bits].reshape(n_chunks, chunk_bits)
+
+
+def oracle(data, pool, indices):
+    """Each full chunk permuted by ``apply`` of its traced member, as bits."""
+    n = pool.size
+    chunks = chunk_bits_of(data, n, indices.size)
+    if n > 8:
+        return np.array([pool.permutations[m].apply(chunk)
+                         for m, chunk in zip(indices, chunks)]).reshape(-1, n)
+    # A chunk of at most 8 bits takes one of 2^N values: apply every member
+    # to every value once, then look each chunk up.
+    every = np.unpackbits(np.arange(1 << n, dtype=np.uint8)[:, None], axis=1)[:, 8 - n:]
+    applied = np.array([[perm.apply(v) for v in every] for perm in pool.permutations])
+    values = chunks @ (1 << np.arange(n - 1, -1, -1))
+    return applied[indices, values]
+
+
+def check_against_oracle(data, pool):
+    chunk_bytes = max(pool.size // 8, 1)
+    single, trace = whiten(data, pool, workers=1)
+    double, trace2 = whiten(data, pool, workers=2)
+    assert double == single and trace2 == trace
+    n_chunks = len(data) * 8 // pool.size
+    assert len(trace) == n_chunks
+    assert np.array_equal(chunk_bits_of(single, pool.size, n_chunks),
+                          oracle(data, pool, trace.indices))
+    full = n_chunks * chunk_bytes
+    assert single[full:] == data[full:]
+    for workers in (1, 2):
+        back = io.BytesIO()
+        unwhiten_stream(io.BytesIO(single), pool, trace, back, workers=workers)
+        assert back.getvalue() == data
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("n_qubits", range(1, 17))
+def test_kernel_matches_per_chunk_oracle(n_qubits, count):
+    chunk_bytes = max((1 << n_qubits) // 8, 1)
+    # three full chunks and the longest tail a chunk size allows
+    length = 37 if chunk_bytes == 1 else 4 * chunk_bytes - 1
+    data = CounterSource(f"kernel-in-{n_qubits}").read_bytes(length)
+    check_against_oracle(data, random_pool(n_qubits, count, n_qubits * 100 + count))
+
+
+@pytest.mark.parametrize("n_qubits", [2, 13])
+def test_kernel_matches_oracle_across_batches(n_qubits):
+    # more than one 1 MiB batch, and a 5-byte tail for the gather path
+    length = MIB + 3 * max((1 << n_qubits) // 8, 1) + (5 if n_qubits > 3 else 0)
+    data = CounterSource(f"kernel-big-{n_qubits}").read_bytes(length)
+    check_against_oracle(data, random_pool(n_qubits, 5, n_qubits))
+
+
+def table_path_maps(n_qubits):
+    n = 1 << n_qubits
+    if n <= 4:
+        return list(itertools.permutations(range(n)))
+    rng = np.random.default_rng(8)
+    return [tuple(range(n)), tuple(reversed(range(n)))] + [
+        tuple(rng.permutation(n)) for _ in range(100)]
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_table_path_exhaustive(n_qubits):
+    n = 1 << n_qubits
+    every_byte = bytes(range(256))
+    byte_bits = np.unpackbits(np.frombuffer(every_byte, dtype=np.uint8)).reshape(256, 8)
+    for mapping in table_path_maps(n_qubits):
+        perm = IndexPermutation(mapping)
+        pool = MatrixPool(n_qubits=n_qubits, permutations=(perm,))
+        expected = bytes(
+            int(np.packbits(np.concatenate([perm.apply(c) for c in bits.reshape(-1, n)]))[0])
+            for bits in byte_bits)
+        out, trace = whiten(every_byte, pool)
+        assert out == expected
+        back = io.BytesIO()
+        unwhiten_stream(io.BytesIO(out), pool, trace, back)
+        assert back.getvalue() == every_byte
+
+
+def test_recording_holds_the_trace_once():
+    # 8 MiB of 4-bit chunks record a 64 MiB trace; building it must not
+    # hold a second copy of the selections alongside the first
+    pool = random_pool(2, 4, 1)
+    data = bytes(8 * MIB)
+    peaks = {}
+    for record in (False, True):
+        cfg = WhitenConfig(n_qubits=2, pool_count=4, record_selections=record)
+        tracemalloc.start()
+        try:
+            trace = whiten_stream(io.BytesIO(data), pool, cfg,
+                                  CounterSource("kernel-mem"), io.BytesIO())
+            peaks[record] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    trace_bytes = len(trace) * 4
+    assert trace_bytes == 64 * MIB
+    assert peaks[True] - peaks[False] <= 1.2 * trace_bytes
