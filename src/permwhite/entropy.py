@@ -45,8 +45,6 @@ _COUNTER_LIMIT = 1 << 64    # the counter is encoded in 8 bytes
 class EntropySource:
     """Common draw logic; subclasses supply ``read_bytes``."""
 
-    kind: str
-
     def read_bytes(self, n: int) -> bytes:
         raise NotImplementedError
 
@@ -116,16 +114,12 @@ class EntropySource:
 
 
 class OsEntropy(EntropySource):
-    kind = "os"
-
     def read_bytes(self, n: int) -> bytes:
         return os.urandom(n)
 
 
 class SeedFileSource(EntropySource):
     """Sequential reader over a raw seed file. No header, no wrap-around."""
-
-    kind = "seed-file"
 
     def __init__(self, source: Union[str, os.PathLike, BinaryIO]):
         if hasattr(source, "read"):
@@ -153,8 +147,6 @@ class SeedFileSource(EntropySource):
 
 class CounterSource(EntropySource):
     """Deterministic SHAKE-256 counter keystream (see module docstring)."""
-
-    kind = "deterministic-counter"
 
     def __init__(self, key: Union[str, bytes] = "permwhite", counter_start: int = 0):
         if isinstance(key, str):

@@ -91,15 +91,13 @@ class IndexPermutation:
         return f"IndexPermutation(size={self.size})"
 
 
-def generate_fullrange_shuffle(
-    n_qubits: int, rng: EntropySource, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> IndexPermutation:
+def generate_fullrange_shuffle(n_qubits: int, rng: EntropySource) -> IndexPermutation:
     """Full-range swap shuffle over N = 2**n_qubits positions.
 
     Draws one integer K[i] uniform on [1, N] per position (in increasing i),
     then sweeps i from N down to 1 swapping S[K[i]] with S[i].
     """
-    n = _checked_size(n_qubits, max_qubits)
+    n = _checked_size(n_qubits)
     k = [rng.random_int(1, n) for _ in range(n)]
     s = list(range(n))
     for i in range(n - 1, -1, -1):
@@ -108,11 +106,9 @@ def generate_fullrange_shuffle(
     return IndexPermutation(s)
 
 
-def generate_unbiased_shuffle(
-    n_qubits: int, rng: EntropySource, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> IndexPermutation:
+def generate_unbiased_shuffle(n_qubits: int, rng: EntropySource) -> IndexPermutation:
     """Textbook Fisher-Yates shuffle: uniform over all N! permutations."""
-    n = _checked_size(n_qubits, max_qubits)
+    n = _checked_size(n_qubits)
     s = list(range(n))
     for i in range(n - 1):
         j = rng.random_int(i + 1, n) - 1
@@ -126,11 +122,11 @@ SHUFFLE_MODES = {
 }
 
 
-def _checked_size(n_qubits: int, max_qubits: int) -> int:
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    if n_qubits > max_qubits:
-        raise ValueError(f"n_qubits {n_qubits} exceeds the size limit of {max_qubits}")
+def _checked_size(n_qubits: int) -> int:
+    """Chunk size 2**n_qubits; n_qubits up to 16 keeps a chunk within 8 KiB,
+    a divisor of the 1 MiB block that whitening reads."""
+    if not 1 <= n_qubits <= DEFAULT_MAX_QUBITS:
+        raise ValueError(f"n_qubits {n_qubits} outside 1..{DEFAULT_MAX_QUBITS}")
     return 1 << n_qubits
 
 
@@ -144,11 +140,9 @@ class MatrixPool:
 
     def __post_init__(self):
         object.__setattr__(self, "permutations", tuple(self.permutations))
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
+        n = _checked_size(self.n_qubits)
         if len(self.permutations) < 1:
             raise ValueError("a pool needs at least one permutation")
-        n = 1 << self.n_qubits
         for p in self.permutations:
             if p.size != n:
                 raise ValueError(f"permutation size {p.size} != pool size {n}")
@@ -168,7 +162,6 @@ def generate_pool(
     rng: EntropySource,
     mode: str = "fullrange",
     generator_tag: str = "",
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> MatrixPool:
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -176,7 +169,7 @@ def generate_pool(
         gen = SHUFFLE_MODES[mode]
     except KeyError:
         raise ValueError(f"unknown shuffle mode: {mode!r}") from None
-    perms = tuple(gen(n_qubits, rng, max_qubits) for _ in range(count))
+    perms = tuple(gen(n_qubits, rng) for _ in range(count))
     return MatrixPool(n_qubits=n_qubits, permutations=perms, generator_tag=generator_tag)
 
 

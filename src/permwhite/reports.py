@@ -54,12 +54,12 @@ def render_ent_text(report: EntReport, title: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_nist_text(report: NistLiteReport, alpha: float = 0.01) -> str:
+def render_nist_text(report: NistLiteReport) -> str:
     lines = [f"{'Test':<{_LABEL_W}}{'P-value':>16}{'Result':>10}"]
+    passed = report.pass_flags
     for label, field in NIST_ROWS:
-        p = getattr(report, field)
-        verdict = "pass" if p >= alpha else "FAIL"
-        lines.append(f"{label:<{_LABEL_W}}{p:>16.6f}{verdict:>10}")
+        verdict = "pass" if passed[field] else "FAIL"
+        lines.append(f"{label:<{_LABEL_W}}{getattr(report, field):>16.6f}{verdict:>10}")
     lines.append(f"{'Bits analyzed':<{_LABEL_W}}{report.bit_count:>16}")
     return "\n".join(lines) + "\n"
 

@@ -28,7 +28,6 @@ TRACE_MAGIC = b"PWTR"
 TRACE_VERSION = 1
 _TRACE_HEADER = struct.Struct("<4sHIQ")
 
-_BATCH_TARGET_BYTES = 1 << 20
 _GATHER_SPAN_BITS = 1 << 19
 
 
@@ -150,38 +149,33 @@ def unwhiten_stream(
 
 
 def _transform(input, output, chunk_bits, maps, draw, workers):
-    """Shared streaming loop. ``draw(n)`` supplies pool indices per batch;
-    ``maps`` is an (M, chunk_bits) intp array, ``out[i] = in[maps[m, i]]``."""
-    align = chunk_bits // 8 if chunk_bits >= 8 else 1
-    batch_bytes = max(align, _BATCH_TARGET_BYTES // align * align)
-    if chunk_bits <= 8:
-        process = _table_kernel(maps, chunk_bits)
-    else:
-        process = _gather_kernel(maps, chunk_bits)
+    """Shared streaming loop. ``draw(n)`` supplies pool indices per block;
+    ``maps`` is an (M, chunk_bits) intp array, ``out[i] = in[maps[m, i]]``.
+    A chunk holds at most 8 KiB, so every full block is whole chunks and
+    only the last block can end in a partial chunk."""
+    kernel = _table_kernel if chunk_bits <= 8 else _gather_kernel
+    permute = kernel(maps, chunk_bits)
+    chunk_bytes = max(chunk_bits // 8, 1)
 
-    def batches():
-        for buf in iter_blocks(input, batch_bytes):
-            full = len(buf) - len(buf) % align
-            tail = buf[full:]
-            n_chunks = full * 8 // chunk_bits
-            yield buf[:full], draw(n_chunks), tail
+    def process(block: bytes, sel: np.ndarray) -> bytes:
+        full = len(block) - len(block) % chunk_bytes
+        return permute(block[:full], sel) + block[full:]
 
+    blocks = ((block, draw(len(block) * 8 // chunk_bits))
+              for block in iter_blocks(input))
     if workers <= 1:
-        for body, sel, tail in batches():
-            if body:
-                output.write(process(body, sel))
-            if tail:
-                output.write(tail)
+        for block, sel in blocks:
+            output.write(process(block, sel))
         return
 
     with ThreadPoolExecutor(max_workers=workers) as pool_exec:
         pending = []
-        for body, sel, tail in batches():
-            pending.append((pool_exec.submit(process, body, sel) if body else None, tail))
+        for block, sel in blocks:
+            pending.append(pool_exec.submit(process, block, sel))
             while len(pending) > workers + 1:
-                _flush_one(pending, output)
-        while pending:
-            _flush_one(pending, output)
+                output.write(pending.pop(0).result())
+        for fut in pending:
+            output.write(fut.result())
 
 
 def _table_kernel(maps, chunk_bits):
@@ -231,19 +225,12 @@ def _gather_kernel(maps, chunk_bits):
     return process
 
 
-def _flush_one(pending, output):
-    fut, tail = pending.pop(0)
-    if fut is not None:
-        output.write(fut.result())
-    if tail:
-        output.write(tail)
-
-
 def trace_save(trace: SelectionTrace, sink: BinaryIO) -> None:
     """Write the binary trace format (little-endian, CRC32 of the indices)."""
     sink.write(_TRACE_HEADER.pack(TRACE_MAGIC, TRACE_VERSION,
                                   trace.chunk_bits, trace.indices.size))
-    payload = trace.indices.astype("<u4").tobytes()
+    # No copy for the native little-endian uint32 arrays traces hold.
+    payload = np.ascontiguousarray(trace.indices, dtype="<u4")
     sink.write(payload)
     sink.write(struct.pack("<I", zlib.crc32(payload)))
 

@@ -1,8 +1,9 @@
 """The streaming whitening kernel, chunk by chunk, against
 ``IndexPermutation.apply``: both kernel paths (byte tables for chunks of at
-most 8 bits, bit gather above), batch boundaries, tails, worker counts,
-and the memory a recorded trace costs."""
+most 8 bits, bit gather above), block boundaries, tails, worker counts,
+frozen digests of pinned runs, and the memory a recorded trace costs."""
 
+import hashlib
 import io
 import itertools
 import tracemalloc
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from permwhite.entropy import CounterSource
-from permwhite.permutation import IndexPermutation, MatrixPool
-from permwhite.whitening import WhitenConfig, unwhiten_stream, whiten_stream
+from permwhite.permutation import IndexPermutation, MatrixPool, generate_pool, pool_save
+from permwhite.whitening import WhitenConfig, trace_save, unwhiten_stream, whiten_stream
 
 MIB = 1 << 20
 
@@ -86,6 +87,36 @@ def test_kernel_matches_oracle_across_batches(n_qubits):
     length = MIB + 3 * max((1 << n_qubits) // 8, 1) + (5 if n_qubits > 3 else 0)
     data = CounterSource(f"kernel-big-{n_qubits}").read_bytes(length)
     check_against_oracle(data, random_pool(n_qubits, 5, n_qubits))
+
+
+# SHA-256 of the pool file, the whitened output and the trace file for a
+# pinned run: n=2 takes the table kernel and n=13 the gather kernel.
+PINNED_DIGESTS = {
+    2: ("42a133885f10d1f37b95c6ba4f4444a3c4b0d3def45e134a8261ca6a0f327f5a",
+        "ecfade446450ad6fb26647a9f611ed4b0bb0243114e4afe3c13f8bae6e49d9cd",
+        "37aad778930df29a98776eabf7e67a6f5af8eae3d90cf1b6fed2b629f1967d73"),
+    13: ("4c9a18a58f0169607a87cd462948327813fa6b0b2109f267c430db7ab078cdda",
+         "1a1ceddb5d94270bc7375289cdda4bb2a588a8a1b17d04d5dbdc97b6e0e348d1",
+         "2aa89adc3b65fffc7a4788fd32fa93b7ce6862925afbe4aab2015f371bf3822b"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_qubits", sorted(PINNED_DIGESTS))
+def test_pinned_run_digests(n_qubits, workers):
+    # two full 1 MiB blocks and a last block that ends in a partial chunk
+    data = CounterSource("pinned-input").read_bytes(2 * MIB + 1031)
+    pool = generate_pool(n_qubits, 5, CounterSource(f"pinned-pool-{n_qubits}"))
+    cfg = WhitenConfig(n_qubits=n_qubits, pool_count=5, record_selections=True)
+    out = io.BytesIO()
+    trace = whiten_stream(io.BytesIO(data), pool, cfg,
+                          CounterSource(f"pinned-sel-{n_qubits}"), out, workers=workers)
+    pool_file, trace_file = io.BytesIO(), io.BytesIO()
+    pool_save(pool, pool_file)
+    trace_save(trace, trace_file)
+    digests = tuple(hashlib.sha256(b.getvalue()).hexdigest()
+                    for b in (pool_file, out, trace_file))
+    assert digests == PINNED_DIGESTS[n_qubits]
 
 
 def table_path_maps(n_qubits):

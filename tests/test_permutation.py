@@ -199,13 +199,23 @@ def test_shuffles_are_valid_permutations():
 
 def test_size_limits():
     rng = CounterSource("cap")
-    with pytest.raises(ValueError):
-        generate_unbiased_shuffle(0, rng)
-    with pytest.raises(ValueError):
-        generate_unbiased_shuffle(17, rng)
-    # override lifts the cap
-    p = generate_unbiased_shuffle(5, rng, max_qubits=5)
+    for n_qubits in (0, 17):
+        with pytest.raises(ValueError):
+            generate_unbiased_shuffle(n_qubits, rng)
+        with pytest.raises(ValueError):
+            generate_fullrange_shuffle(n_qubits, rng)
+        with pytest.raises(ValueError):
+            generate_pool(n_qubits, 1, rng)
+    p = generate_unbiased_shuffle(5, rng)
     assert p.size == 32
+
+
+@pytest.mark.parametrize("n_qubits", [0, 17])
+def test_pool_rejects_size_outside_limits(n_qubits):
+    # A chunk of 2^17 bits would no longer divide the 1 MiB read block.
+    perm = IndexPermutation.identity(1 << n_qubits)
+    with pytest.raises(ValueError):
+        MatrixPool(n_qubits=n_qubits, permutations=(perm,))
 
 
 def test_generate_pool_properties():

@@ -3,6 +3,7 @@ the trace file format, and the determinism contract."""
 
 import io
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -229,3 +230,32 @@ def test_selection_sequence_matches_source_draws():
     _, trace = run_whiten(data, pool, key="seq-sel")
     expected = CounterSource("seq-sel").random_indices(4, 1000)
     assert trace.indices.tolist() == expected.tolist()
+
+
+class CountingSink:
+    """Write-only sink that keeps nothing but the byte count and the CRC."""
+
+    def __init__(self):
+        self.size = 0
+        self.crc = 0
+
+    def write(self, data):
+        view = memoryview(data)
+        self.size += view.nbytes
+        self.crc = zlib.crc32(view, self.crc)
+
+
+def test_trace_save_does_not_copy_the_indices():
+    trace = SelectionTrace(chunk_bits=16, indices=np.arange(4 << 20, dtype=np.uint32))
+    expected = io.BytesIO()
+    trace_save(trace, expected)
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        trace_save(trace, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == len(expected.getvalue())
+    assert sink.crc == zlib.crc32(expected.getvalue())
+    assert peak <= 0.1 * trace.indices.nbytes
