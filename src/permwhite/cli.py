@@ -8,9 +8,12 @@ precondition not met (input too short).
 
 Option resolution order: command-line flags, then a ``--config`` file of
 flat ``key = value`` lines, then the environment (``PWHITEN_POOL``,
-``PWHITEN_WORKERS``), then built-in defaults. Config keys are the long
-option names with dashes replaced by underscores; keys a subcommand does
-not use are ignored so one manifest can drive a whole pipeline.
+``PWHITEN_WORKERS``), then the built-in defaults that ``COMMAND --help``
+prints. Config keys are long option names, with dashes or underscores.
+gen-pool honours n_qubits, count, mode, tag, source, seed_file, key and
+counter; whiten honours pool, trace, workers, source, seed_file, key and
+counter; unwhiten honours pool, trace and workers. Other keys are ignored,
+so one manifest can drive a whole pipeline.
 """
 
 from __future__ import annotations
@@ -50,12 +53,18 @@ _EXIT_IO = 3
 _EXIT_FORMAT = 4
 _EXIT_PRECONDITION = 5
 
+_SOURCE_KEYS = ("source", "seed_file", "key", "counter")
+CONFIG_KEYS = {
+    "gen-pool": ("n_qubits", "count", "mode", "tag", *_SOURCE_KEYS),
+    "whiten": ("pool", "trace", "workers", *_SOURCE_KEYS),
+    "unwhiten": ("pool", "trace", "workers"),
+}
 
-class _UsageError(Exception):
-    pass
+_REPORT_MAX_BYTES = 64 * 1024  # a real analyze --csv report is under 1 KiB
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str) -> dict:
+    keys = CONFIG_KEYS.get(command, ())
     settings = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -63,33 +72,12 @@ def _load_config(path: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
-            if not sep or not key.strip():
-                raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
-            settings[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if not sep or not key:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            if key in keys:
+                settings[key] = value.strip()
     return settings
-
-
-class _Settings:
-    """Flag > config file > environment > default."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self._args = args
-        self._config = config
-
-    def get(self, name, default=None, cast=None, env=None):
-        value = getattr(self._args, name, None)
-        if value is None:
-            value = self._config.get(name)
-        if value is None and env is not None:
-            value = os.environ.get(env)
-        if value is None:
-            return default
-        if cast is not None and isinstance(value, str):
-            try:
-                value = cast(value)
-            except ValueError:
-                raise _UsageError(f"invalid value for {name}: {value!r}") from None
-        return value
 
 
 def _umask() -> int:
@@ -118,87 +106,63 @@ def _atomic_output(path: str):
         raise
 
 
-def _make_selector(settings: _Settings):
-    return make_source(
-        settings.get("source", default="os"),
-        seed_file=settings.get("seed_file"),
-        det_key=settings.get("key", default="permwhite"),
-        det_counter=settings.get("counter", default=0, cast=int),
-    )
+def _make_selector(args: argparse.Namespace):
+    return make_source(args.source, seed_file=args.seed_file,
+                       det_key=args.key, det_counter=args.counter)
 
 
-def _status(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
-def _cmd_gen_pool(args: argparse.Namespace, config: dict) -> int:
-    settings = _Settings(args, config)
-    n_qubits = settings.get("n_qubits", default=13, cast=int)
-    count = settings.get("count", default=32, cast=int)
-    mode = settings.get("mode", default="fullrange")
-    tag = settings.get("tag", default="")
-    with _make_selector(settings) as rng:
-        pool = generate_pool(n_qubits, count, rng, mode=mode, generator_tag=tag)
+def _cmd_gen_pool(args: argparse.Namespace) -> int:
+    with _make_selector(args) as rng:
+        pool = generate_pool(args.n_qubits, args.count, rng, mode=args.mode,
+                             generator_tag=args.tag)
     with _atomic_output(args.output) as fh:
         pool_save(pool, fh)
-    _status(f"wrote {args.output}: {count} permutations of "
-            f"{1 << n_qubits} bits ({n_qubits} qubits, {mode})")
+    print(f"wrote {args.output}: {args.count} permutations of "
+          f"{1 << args.n_qubits} bits ({args.n_qubits} qubits, {args.mode})",
+          file=sys.stderr)
     return 0
 
 
-def _open_pool(settings: _Settings):
-    pool_path = settings.get("pool", env=POOL_ENV)
-    if pool_path is None:
-        raise _UsageError(f"no pool file given (use --pool or {POOL_ENV})")
-    with open(pool_path, "rb") as fh:
-        return pool_load(fh)
+def _open_pool(args: argparse.Namespace):
+    if args.pool is None:
+        raise ValueError(f"no pool file given (use --pool or {POOL_ENV})")
+    with open(args.pool, "rb") as fh:
+        pool = pool_load(fh)
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
+    return pool
 
 
-def _workers(settings: _Settings) -> int:
-    workers = settings.get("workers", default=1, cast=int, env=WORKERS_ENV)
-    if workers < 1:
-        raise _UsageError("--workers must be at least 1")
-    return workers
-
-
-def _cmd_whiten(args: argparse.Namespace, config: dict) -> int:
-    settings = _Settings(args, config)
-    pool = _open_pool(settings)
-    trace_path = settings.get("trace")
-    cfg = WhitenConfig(
-        n_qubits=pool.n_qubits,
-        pool_count=pool.count,
-        record_selections=trace_path is not None,
-    )
-    workers = _workers(settings)
-    with _make_selector(settings) as selector, open(args.input, "rb") as src, \
+def _cmd_whiten(args: argparse.Namespace) -> int:
+    pool = _open_pool(args)
+    cfg = WhitenConfig(n_qubits=pool.n_qubits, pool_count=pool.count,
+                       record_selections=args.trace is not None)
+    with _make_selector(args) as selector, open(args.input, "rb") as src, \
             _atomic_output(args.output) as out:
-        trace = whiten_stream(src, pool, cfg, selector, out, workers=workers)
-    if trace_path is not None:
-        with _atomic_output(trace_path) as fh:
+        trace = whiten_stream(src, pool, cfg, selector, out,
+                              workers=args.workers)
+    if args.trace is not None:
+        with _atomic_output(args.trace) as fh:
             trace_save(trace, fh)
-        _status(f"wrote {args.output} and trace {trace_path}")
+        print(f"wrote {args.output} and trace {args.trace}", file=sys.stderr)
     else:
-        _status(f"wrote {args.output}")
+        print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 
-def _cmd_unwhiten(args: argparse.Namespace, config: dict) -> int:
-    settings = _Settings(args, config)
-    pool = _open_pool(settings)
-    trace_path = settings.get("trace")
-    if trace_path is None:
-        raise _UsageError("unwhiten requires --trace")
-    with open(trace_path, "rb") as fh:
+def _cmd_unwhiten(args: argparse.Namespace) -> int:
+    pool = _open_pool(args)
+    if args.trace is None:
+        raise ValueError("unwhiten requires --trace")
+    with open(args.trace, "rb") as fh:
         trace = trace_load(fh)
-    workers = _workers(settings)
     with open(args.input, "rb") as src, _atomic_output(args.output) as out:
-        unwhiten_stream(src, pool, trace, out, workers=workers)
-    _status(f"wrote {args.output}")
+        unwhiten_stream(src, pool, trace, out, workers=args.workers)
+    print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace, config: dict) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         ent, nist = analyze(fh)
     sys.stdout.write(render_ent_text(ent, title=args.input))
@@ -207,19 +171,24 @@ def _cmd_analyze(args: argparse.Namespace, config: dict) -> int:
     if args.csv:
         with _atomic_output(args.csv) as fh:
             fh.write(report_to_csv(ent, nist).encode("utf-8"))
-        _status(f"wrote {args.csv}")
+        print(f"wrote {args.csv}", file=sys.stderr)
     return 0
 
 
 def _read_report(path: str, from_reports: bool):
-    if from_reports:
-        with open(path, encoding="utf-8") as fh:
-            return parse_report_csv(fh.read())
     with open(path, "rb") as fh:
-        return ent_analyze(fh)
+        if not from_reports:
+            return ent_analyze(fh)
+        data = fh.read(_REPORT_MAX_BYTES + 1)
+    if len(data) > _REPORT_MAX_BYTES:
+        raise FormatError(f"{path}: too large for a report CSV")
+    try:
+        return parse_report_csv(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: report CSV is not UTF-8: {exc}") from None
 
 
-def _cmd_compare(args: argparse.Namespace, config: dict) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     before = _read_report(args.before, args.from_reports)
     after = _read_report(args.after, args.from_reports)
     verdicts = compare_reports(before, after)
@@ -233,39 +202,54 @@ def _cmd_compare(args: argparse.Namespace, config: dict) -> int:
         ]
         with _atomic_output(args.figure_csv) as fh:
             fh.write(figure_csv(rows).encode("utf-8"))
-        _status(f"wrote {args.figure_csv}")
+        print(f"wrote {args.figure_csv}", file=sys.stderr)
     return 0
 
 
-def _cmd_xor(args: argparse.Namespace, config: dict) -> int:
+def _cmd_xor(args: argparse.Namespace) -> int:
     with open(args.a, "rb") as a, open(args.b, "rb") as b, \
             _atomic_output(args.output) as out:
         written = xor_combine(a, b, out)
-    _status(f"wrote {args.output}: {written} bytes")
+    print(f"wrote {args.output}: {written} bytes", file=sys.stderr)
     return 0
 
 
-def _cmd_vn(args: argparse.Namespace, config: dict) -> int:
+def _cmd_vn(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as src, _atomic_output(args.output) as out:
         bits = von_neumann(src, out)
-    _status(f"wrote {args.output}: {bits} bits")
+    print(f"wrote {args.output}: {bits} bits", file=sys.stderr)
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE",
                         help="flat 'key = value' settings file")
 
     source_opts = argparse.ArgumentParser(add_help=False)
     source_opts.add_argument("--source", choices=("os", "seed", "det"),
-                             help="entropy source (default os)")
+                             default="os",
+                             help="entropy source (default %(default)s)")
     source_opts.add_argument("--seed-file", metavar="FILE",
                              help="raw byte file backing --source seed")
-    source_opts.add_argument("--key", metavar="KEY",
-                             help="key material for --source det")
-    source_opts.add_argument("--counter", type=int, metavar="N",
-                             help="starting block counter for --source det")
+    source_opts.add_argument("--key", metavar="KEY", default="permwhite",
+                             help="key material for --source det "
+                                  "(default %(default)s)")
+    source_opts.add_argument("--counter", type=int, metavar="N", default=0,
+                             help="starting block counter for --source det "
+                                  "(default %(default)s)")
+
+    pool_opts = argparse.ArgumentParser(add_help=False)
+    pool_opts.add_argument("--pool", metavar="FILE",
+                           default=os.environ.get(POOL_ENV),
+                           help=f"pool file (or set {POOL_ENV})")
+    pool_opts.add_argument("--trace", metavar="FILE",
+                           help="per-chunk selection trace that whiten "
+                                "writes and unwhiten reads")
+    pool_opts.add_argument("--workers", type=int, metavar="W",
+                           default=os.environ.get(WORKERS_ENV, 1),
+                           help=f"parallel workers (or set {WORKERS_ENV}; "
+                                "default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="permwhite",
@@ -273,42 +257,33 @@ def _build_parser() -> argparse.ArgumentParser:
                     "pools of bit-permutation matrices, plus statistics to "
                     "judge the result.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                required=True)
 
     p = sub.add_parser("gen-pool", parents=[common, source_opts],
                        help="generate a permutation pool file")
     p.add_argument("output", help="pool file to write")
-    p.add_argument("--n-qubits", type=int, metavar="N",
-                   help="chunk size is 2^N bits (default 13)")
-    p.add_argument("--count", type=int, metavar="M",
-                   help="permutations in the pool (default 32)")
+    p.add_argument("--n-qubits", type=int, metavar="N", default=13,
+                   help="chunk size is 2^N bits (default %(default)s)")
+    p.add_argument("--count", type=int, metavar="M", default=32,
+                   help="permutations in the pool (default %(default)s)")
     p.add_argument("--mode", choices=tuple(sorted(SHUFFLE_MODES)),
-                   help="shuffle procedure (default fullrange)")
-    p.add_argument("--tag", metavar="TEXT", help="free-form generator tag")
+                   default="fullrange",
+                   help="shuffle procedure (default %(default)s)")
+    p.add_argument("--tag", metavar="TEXT", default="",
+                   help="free-form generator tag")
     p.set_defaults(func=_cmd_gen_pool)
 
-    p = sub.add_parser("whiten", parents=[common, source_opts],
+    p = sub.add_parser("whiten", parents=[common, source_opts, pool_opts],
                        help="whiten a byte file with a pool")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--pool", metavar="FILE",
-                   help=f"pool file (or set {POOL_ENV})")
-    p.add_argument("--trace", metavar="FILE",
-                   help="record per-chunk selections for later unwhiten")
-    p.add_argument("--workers", type=int, metavar="W",
-                   help=f"parallel workers (or set {WORKERS_ENV})")
     p.set_defaults(func=_cmd_whiten)
 
-    p = sub.add_parser("unwhiten", parents=[common],
+    p = sub.add_parser("unwhiten", parents=[common, pool_opts],
                        help="invert a whitening run from its trace")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--pool", metavar="FILE",
-                   help=f"pool file (or set {POOL_ENV})")
-    p.add_argument("--trace", metavar="FILE",
-                   help="selection trace written by whiten")
-    p.add_argument("--workers", type=int, metavar="W",
-                   help=f"parallel workers (or set {WORKERS_ENV})")
     p.set_defaults(func=_cmd_unwhiten)
 
     p = sub.add_parser("analyze", parents=[common],
@@ -343,22 +318,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.set_defaults(func=_cmd_vn)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # Config values become subcommand defaults: flags still win.
+            config = _load_config(args.config, args.command)
+            commands[args.command].set_defaults(**config)
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
-    if getattr(args, "func", None) is None:
-        parser.print_help(sys.stderr)
-        return _EXIT_USAGE
-    try:
-        config = _load_config(args.config) if args.config else {}
-        return args.func(args, config)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"permwhite: usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except EntropyExhausted as exc:

@@ -200,7 +200,10 @@ def pool_load(source: BinaryIO) -> MatrixPool:
             f"invalid n_qubits {n_qubits} (must be 1..{DEFAULT_MAX_QUBITS})")
     if count < 1:
         raise FormatError(f"invalid permutation count {count}")
-    tag = _read_exact(source, tag_len, "generator tag").decode("utf-8")
+    try:
+        tag = _read_exact(source, tag_len, "generator tag").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"generator tag is not UTF-8: {exc}") from None
     n = 1 << n_qubits
     perms = []
     for idx in range(count):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 from .errors import FormatError
 from .randtests import IDEAL_VALUES, EntReport, NistLiteReport
@@ -85,17 +86,17 @@ def report_to_csv(ent: EntReport, nist: NistLiteReport | None = None) -> str:
 
 def parse_report_csv(text: str) -> EntReport:
     """Rebuild an ``EntReport`` from ``report_to_csv`` output (extra rows,
-    such as the four-test p-values, are ignored)."""
-    rows = {}
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [c.strip() for c in header[:2]] != ["parameter", "value"]:
-        raise FormatError("not a report CSV: missing parameter,value header")
-    for row in reader:
-        if len(row) >= 2:
-            rows[row[0].strip()] = row[1].strip()
+    such as the four-test p-values, are ignored). Values must be finite."""
     try:
-        return EntReport(
+        table = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise FormatError(f"malformed report CSV: {exc}") from None
+    if not table or [c.strip() for c in table[0][:2]] != ["parameter", "value"]:
+        raise FormatError("not a report CSV: missing parameter,value header")
+    rows = {row[0].strip(): row[1].strip()
+            for row in table[1:] if len(row) >= 2}
+    try:
+        report = EntReport(
             entropy_bits_per_byte=float(rows["entropy_bits_per_byte"]),
             chi_square=float(rows["chi_square"]),
             arithmetic_mean=float(rows["arithmetic_mean"]),
@@ -108,6 +109,10 @@ def parse_report_csv(text: str) -> EntReport:
         )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed report CSV: {exc}") from None
+    for _, field, _ in ENT_ROWS:
+        if not math.isfinite(getattr(report, field)):
+            raise FormatError(f"malformed report CSV: {field} is not finite")
+    return report
 
 
 def render_comparison(before: EntReport, after: EntReport,

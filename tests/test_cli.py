@@ -358,8 +358,10 @@ def test_pool_env_variable(tmp_path, monkeypatch, pool_file):
     assert dst.stat().st_size == 2048
 
 
-def test_workers_env_variable_is_validated(tmp_path, monkeypatch, pool_file):
-    monkeypatch.setenv("PWHITEN_WORKERS", "0")
+@pytest.mark.parametrize("workers", ["0", "abc"])
+def test_workers_env_variable_is_validated(tmp_path, monkeypatch, pool_file,
+                                           workers):
+    monkeypatch.setenv("PWHITEN_WORKERS", workers)
     src = tmp_path / "in.bin"
     src.write_bytes(b"\x00" * 16)
     rc = run_cli("whiten", str(src), str(tmp_path / "out.bin"),
@@ -416,3 +418,76 @@ def test_malformed_config_line(tmp_path):
     config.write_text("this line has no equals sign\n")
     rc = run_cli("gen-pool", str(tmp_path / "x.pool"), "--config", str(config))
     assert rc == 2
+
+
+@pytest.mark.parametrize("line", ["counter = abc", "count = x"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, line):
+    config = tmp_path / "bad.conf"
+    config.write_text(f"source = det\n{line}\n")
+    out = tmp_path / "x.pool"
+    rc = run_cli("gen-pool", str(out), "--n-qubits", "2", "--config", str(config))
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_key_not_honoured_by_analyze(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(CounterSource("cli-conf").read_bytes(30_000))
+    report = tmp_path / "out.csv"
+    config = tmp_path / "run.conf"
+    config.write_text(f"csv = {report}\n")
+    assert run_cli("analyze", str(src), "--config", str(config)) == 0
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", [
+    "gen-pool", "whiten", "unwhiten", "analyze", "compare", "xor", "vn",
+])
+def test_command_help(capsys, command):
+    assert run_cli(command, "--help") == 0
+    out = capsys.readouterr().out
+    if command == "gen-pool":
+        for default in ("13", "32", "fullrange", "os"):
+            assert f"(default {default})" in out
+
+
+# --- hostile report and pool files ---
+
+@pytest.mark.parametrize("rows", [
+    b"chi_square," + b"1" * (140 * 1024) + b"\n",
+    b"\xff\xfe,1\n",
+    b"chi_square,nan\n",
+    b"chi_square,inf\n",
+], ids=["huge-field", "not-utf8", "nan", "inf"])
+def test_hostile_report_csv_is_format_error(tmp_path, capsys, rows):
+    ent = EntReport(entropy_bits_per_byte=7.99, chi_square=260.0,
+                    arithmetic_mean=127.5, monte_carlo_pi=3.14,
+                    serial_correlation=0.001,
+                    serial_correlation_defined=True, byte_count=1_000_000)
+    good = tmp_path / "good.csv"
+    good.write_text(report_to_csv(ent))
+    hostile = tmp_path / "hostile.csv"
+    hostile.write_bytes(good.read_bytes() + rows)
+    figure = tmp_path / "figure.csv"
+    rc = run_cli("compare", str(good), str(hostile), "--from-reports",
+                 "--figure-csv", str(figure))
+    assert rc == 4
+    assert "Traceback" not in capsys.readouterr().err
+    assert not figure.exists()
+
+
+def test_pool_tag_not_utf8_is_format_error(tmp_path, capsys):
+    record = struct.pack("<8I", *range(8))
+    pool = tmp_path / "tag.pool"
+    pool.write_bytes(struct.pack("<4sHBBIH", b"PWPL", 1, 3, 0, 1, 2)
+                     + b"\xff\xfe" + record
+                     + struct.pack("<I", zlib.crc32(record)))
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"\x00" * 16)
+    out = tmp_path / "out.bin"
+    rc = run_cli("whiten", str(src), str(out), "--pool", str(pool),
+                 "--source", "det")
+    assert rc == 4
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()

@@ -78,6 +78,15 @@ def test_csv_rejects_junk():
         parse_report_csv("parameter,value\nchi_square,1.0\n")  # fields missing
 
 
+# csv.reader refuses a field over 128 KiB; the CLI never passes one.
+@pytest.mark.parametrize("bad_row", [
+    "chi_square," + "1" * (140 * 1024), "chi_square,nan", "monte_carlo_pi,-inf",
+], ids=["huge-field", "nan", "-inf"])
+def test_csv_rejects_huge_field_and_non_finite(bad_row):
+    with pytest.raises(FormatError):
+        parse_report_csv(report_to_csv(sample_report()) + bad_row + "\n")
+
+
 def test_nist_text_marks_failures():
     data = b"\xff" * 1000
     text = render_nist_text(nist_lite(io.BytesIO(data)))
