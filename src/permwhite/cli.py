@@ -137,13 +137,18 @@ def _cmd_whiten(args: argparse.Namespace) -> int:
     pool = _open_pool(args)
     cfg = WhitenConfig(n_qubits=pool.n_qubits, pool_count=pool.count,
                        record_selections=args.trace is not None)
+    trace_output = (contextlib.nullcontext() if args.trace is None
+                    else _atomic_output(args.trace))
+    # Both outputs are opened before any work, and the trace (entered last)
+    # is renamed into place first: a trace that cannot be written leaves no
+    # whitened output that nothing could unwhiten.
     with _make_selector(args) as selector, open(args.input, "rb") as src, \
-            _atomic_output(args.output) as out:
+            _atomic_output(args.output) as out, trace_output as trace_fh:
         trace = whiten_stream(src, pool, cfg, selector, out,
                               workers=args.workers)
+        if trace is not None:
+            trace_save(trace, trace_fh)
     if args.trace is not None:
-        with _atomic_output(args.trace) as fh:
-            trace_save(trace, fh)
         print(f"wrote {args.output} and trace {args.trace}", file=sys.stderr)
     else:
         print(f"wrote {args.output}", file=sys.stderr)

@@ -95,19 +95,24 @@ class EntropySource:
             return out
         k = (m - 1).bit_length()
         nbytes = (k + 7) // 8
+        mask = (1 << k) - 1
         filled = 0
         while filled < count:
             owed = count - filled
             raw = np.frombuffer(self.read_bytes(nbytes * owed), dtype=np.uint8)
-            words = raw.reshape(owed, nbytes)
-            # Big-endian words, assembled one byte column at a time because
-            # 3-byte words have no numpy dtype.
-            values = words[:, 0].astype(np.uint32)
-            for j in range(1, nbytes):
-                values <<= 8
-                values |= words[:, j]
-            values &= np.uint32((1 << k) - 1)
-            kept = values[values < m]
+            if nbytes == 1:
+                values = raw & np.uint8(mask)
+            else:
+                words = raw.reshape(owed, nbytes)
+                # Big-endian words, assembled one byte column at a time
+                # because 3-byte words have no numpy dtype.
+                values = words[:, 0].astype(np.uint32)
+                for j in range(1, nbytes):
+                    values <<= 8
+                    values |= words[:, j]
+                values &= np.uint32(mask)
+            # m - 1 fits the word's dtype, where m itself may not (m = 256).
+            kept = values[values <= m - 1]
             out[filled:filled + kept.size] = kept
             filled += kept.size
         return out

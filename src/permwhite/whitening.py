@@ -6,6 +6,12 @@ when N > 8, since every byte then may not fill a whole chunk) is copied
 through unchanged rather than padded or dropped. Selection draws are made
 by the coordinator in chunk-ordinal order before any parallel dispatch, so
 results never depend on scheduling.
+
+Two kernels permute a block's chunks. Chunks of at most 8 bits go through
+one 2^N-entry table per pool member. Larger chunks are bit-sliced: grouped
+8 at a time per member, an 8x8 bit transpose turns each bit position of
+the 8 chunks into one byte, the member's map then moves bytes instead of
+bits, and the same transpose turns the bytes back into chunks.
 """
 
 from __future__ import annotations
@@ -27,8 +33,6 @@ from .permutation import MatrixPool
 TRACE_MAGIC = b"PWTR"
 TRACE_VERSION = 1
 _TRACE_HEADER = struct.Struct("<4sHIQ")
-
-_GATHER_SPAN_BITS = 1 << 19
 
 
 @dataclass
@@ -153,7 +157,7 @@ def _transform(input, output, chunk_bits, maps, draw, workers):
     ``maps`` is an (M, chunk_bits) intp array, ``out[i] = in[maps[m, i]]``.
     A chunk holds at most 8 KiB, so every full block is whole chunks and
     only the last block can end in a partial chunk."""
-    kernel = _table_kernel if chunk_bits <= 8 else _gather_kernel
+    kernel = _table_kernel if chunk_bits <= 8 else _sliced_kernel
     permute = kernel(maps, chunk_bits)
     chunk_bytes = max(chunk_bits // 8, 1)
 
@@ -205,22 +209,87 @@ def _table_kernel(maps, chunk_bits):
     return process
 
 
-def _gather_kernel(maps, chunk_bits):
-    """Chunks of more than 8 bits: unpack to one byte per bit, gather each
-    member's rows through its map, and pack again."""
-    # Rows per gather: at most _GATHER_SPAN_BITS unpacked bits at a time, so a
-    # member selected by many chunks (small M) stays in cache.
-    step = max(1, _GATHER_SPAN_BITS // chunk_bits)
+# Warren, Hacker's Delight, 7-3: transpose the 8x8 bit matrix held in a
+# little-endian uint64 (row r is byte r, column c is bit c of that byte) by
+# three masked shift/xor rounds. The transpose is its own inverse.
+_WORD = np.dtype("<u8")
+_TRANSPOSE_ROUNDS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
+
+
+# Words per pass of the transpose: its 18 array operations then run on
+# 256 KiB that stays in cache, not on a whole (padded) block.
+_TRANSPOSE_SLICE = 1 << 15
+
+
+def _bit_transpose(words: np.ndarray) -> None:
+    """Transpose the 8x8 bit matrix in every uint64 of contiguous ``words``,
+    in place."""
+    words = words.reshape(-1)
+    scratch = np.empty(min(words.size, _TRANSPOSE_SLICE), dtype=words.dtype)
+    for start in range(0, words.size, _TRANSPOSE_SLICE):
+        w = words[start:start + _TRANSPOSE_SLICE]
+        t = scratch[:w.size]
+        for shift, mask in _TRANSPOSE_ROUNDS:
+            np.right_shift(w, shift, out=t)
+            t ^= w
+            t &= mask
+            w ^= t
+            t <<= shift
+            w ^= t
+
+
+def _sliced_kernel(maps, chunk_bits):
+    """Chunks of 16 or more bits, bit-sliced (Biham, FSE 1997): the chunks
+    that selected one member are stacked in groups of 8, and an 8x8 bit
+    transpose of byte j of the 8 chunks makes byte c of the result hold
+    bit 8j + 7 - c of all 8 of them. Permuting a chunk's bits is then
+    permuting the group's bytes, one ``take`` per member, and a second
+    transpose turns the bytes back into chunks."""
+    chunk_bytes = chunk_bits // 8
+    positions = np.arange(chunk_bits)
+    # Byte position of chunk bit p after the transpose (an involution).
+    col = (positions & ~7) | (7 - (positions & 7))
+    # out byte col(i) = in byte col(maps[m, i]); take(col, axis=1) keeps
+    # each member's row contiguous.
+    byte_maps = col[maps.take(col, axis=1)]
+    # Sorting one- or two-byte keys takes numpy's stable radix sort.
+    key_dtype = np.min_scalar_type(len(maps) - 1)
 
     def process(buf: bytes, sel: np.ndarray) -> bytes:
-        chunks = np.unpackbits(np.frombuffer(buf, dtype=np.uint8)).reshape(-1, chunk_bits)
-        out = np.empty_like(chunks)
-        for m in np.unique(sel):
-            rows = np.nonzero(sel == m)[0]
-            for start in range(0, rows.size, step):
-                part = rows[start:start + step]
-                out[part] = np.take(chunks[part], maps[m], axis=1)
-        return np.packbits(out).tobytes()
+        rows = np.frombuffer(buf, dtype=np.uint8).reshape(-1, chunk_bytes)
+        n_rows = rows.shape[0]
+        if n_rows == 0:
+            return b""
+        # Group the rows by member, in stable order, and pad each group to a
+        # multiple of 8 rows with copies of row 0 (dropped at the end).
+        keys = sel.astype(key_dtype)
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        counts = np.diff(np.r_[starts, n_rows])
+        padded = (counts + 7) & ~7
+        padded_starts = np.cumsum(padded) - padded
+        slot = np.arange(n_rows) + np.repeat(padded_starts - starts, counts)
+        source = np.zeros(int(padded.sum()), dtype=np.intp)
+        source[slot] = order
+        grouped = rows.take(source, axis=0).reshape(-1, 8, chunk_bytes)
+
+        # (group, row, byte) -> (group, byte, row): one uint64 per byte j.
+        sliced = np.ascontiguousarray(grouped.transpose(0, 2, 1))
+        _bit_transpose(sliced.view(_WORD))
+        planes = sliced.reshape(-1, chunk_bits)
+        permuted = np.empty_like(planes)
+        for m, start, size in zip(ordered[starts], padded_starts // 8, padded // 8):
+            # The maps are in range; "clip" lets take write straight into out.
+            np.take(planes[start:start + size], byte_maps[m], axis=1,
+                    out=permuted[start:start + size], mode="clip")
+        _bit_transpose(permuted.view(_WORD))
+
+        unsliced = permuted.reshape(-1, chunk_bytes, 8).transpose(0, 2, 1)
+        where = np.empty(n_rows, dtype=np.intp)
+        where[order] = slot
+        return unsliced.reshape(-1, chunk_bytes).take(where, axis=0).tobytes()
 
     return process
 

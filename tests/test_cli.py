@@ -137,6 +137,21 @@ def test_failed_run_leaves_no_output(tmp_path, pool_file):
     assert leftovers == []
 
 
+
+def test_unwritable_trace_leaves_output_untouched(tmp_path, pool_file):
+    src = tmp_path / "in.bin"
+    dst = tmp_path / "white.bin"
+    src.write_bytes(CounterSource("cli-trace-dir").read_bytes(4_096))
+    dst.write_bytes(b"an earlier output")
+    rc = run_cli("whiten", str(src), str(dst), "--pool", str(pool_file),
+                 "--trace", str(tmp_path / "nodir" / "run.trace"),
+                 "--source", "det", "--key", "trace-dir-sel")
+    assert rc == 3
+    assert dst.read_bytes() == b"an earlier output"
+    leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".permwhite")]
+    assert leftovers == []
+
+
 # --- analyze / compare ---
 
 def test_analyze_cyclic_file(tmp_path, capsys):

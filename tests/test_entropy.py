@@ -188,6 +188,18 @@ def test_random_indices_matches_scalar_general(m):
     assert batched_src.offset == scalar_src.offset == len(short)
 
 
+
+# 1-byte words, from a span of two to one that never rejects
+@pytest.mark.parametrize("m", [2, 5, 200, 256])
+def test_random_indices_one_byte_words(m):
+    seed = CounterSource(f"byte-words{m}").read_bytes(40_000)
+    batched_src = SeedFileSource(io.BytesIO(seed))
+    scalar_src = SeedFileSource(io.BytesIO(seed))
+    batched = batched_src.random_indices(m, 20_000)
+    assert batched.dtype == np.uint32
+    assert batched.tolist() == [scalar_src.random_index(m) for _ in range(20_000)]
+    assert batched_src.offset == scalar_src.offset
+
 def test_random_indices_empty():
     assert CounterSource("e").random_indices(8, 0).size == 0
 

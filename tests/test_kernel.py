@@ -1,6 +1,6 @@
 """The streaming whitening kernel, chunk by chunk, against
 ``IndexPermutation.apply``: both kernel paths (byte tables for chunks of at
-most 8 bits, bit gather above), block boundaries, tails, worker counts,
+most 8 bits, bit slicing above), block boundaries, tails, worker counts,
 frozen digests of pinned runs, and the memory a recorded trace costs."""
 
 import hashlib
@@ -83,14 +83,14 @@ def test_kernel_matches_per_chunk_oracle(n_qubits, count):
 
 @pytest.mark.parametrize("n_qubits", [2, 13])
 def test_kernel_matches_oracle_across_batches(n_qubits):
-    # more than one 1 MiB batch, and a 5-byte tail for the gather path
+    # more than one 1 MiB batch, and a 5-byte tail for the sliced path
     length = MIB + 3 * max((1 << n_qubits) // 8, 1) + (5 if n_qubits > 3 else 0)
     data = CounterSource(f"kernel-big-{n_qubits}").read_bytes(length)
     check_against_oracle(data, random_pool(n_qubits, 5, n_qubits))
 
 
 # SHA-256 of the pool file, the whitened output and the trace file for a
-# pinned run: n=2 takes the table kernel and n=13 the gather kernel.
+# pinned run: n=2 takes the table kernel and n=13 the sliced kernel.
 PINNED_DIGESTS = {
     2: ("42a133885f10d1f37b95c6ba4f4444a3c4b0d3def45e134a8261ca6a0f327f5a",
         "ecfade446450ad6fb26647a9f611ed4b0bb0243114e4afe3c13f8bae6e49d9cd",

@@ -1,0 +1,128 @@
+"""The bit-sliced kernel (chunks of 16 or more bits) against the bit-gather
+kernel it replaced: every 16-bit chunk value through every member of a
+small pool, the ways chunks can fall into groups of 8 rows per member, and
+the memory a block costs."""
+
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from permwhite.entropy import CounterSource, SeedFileSource
+from permwhite.permutation import IndexPermutation, MatrixPool, generate_pool
+from permwhite.whitening import WhitenConfig, unwhiten_stream, whiten_stream
+
+MIB = 1 << 20
+
+
+def gather_kernel(maps, chunk_bits):
+    """Reference: unpack to one byte per bit, gather each member's rows
+    through its map, and pack again."""
+    # Rows per gather: at most 2^19 unpacked bits at a time, so a member
+    # selected by many chunks (small M) stays in cache.
+    step = max(1, (1 << 19) // chunk_bits)
+
+    def process(buf: bytes, sel: np.ndarray) -> bytes:
+        chunks = np.unpackbits(np.frombuffer(buf, dtype=np.uint8)).reshape(-1, chunk_bits)
+        out = np.empty_like(chunks)
+        for m in np.unique(sel):
+            rows = np.nonzero(sel == m)[0]
+            for start in range(0, rows.size, step):
+                part = rows[start:start + step]
+                out[part] = np.take(chunks[part], maps[m], axis=1)
+        return np.packbits(out).tobytes()
+
+    return process
+
+
+def random_pool(n_qubits, count, seed):
+    rng = np.random.default_rng(seed)
+    perms = tuple(IndexPermutation(rng.permutation(1 << n_qubits))
+                  for _ in range(count))
+    return MatrixPool(n_qubits=n_qubits, permutations=perms)
+
+
+def scripted(selections):
+    """A selector whose draws from a power-of-two pool of at most 256
+    members return ``selections``: each such draw reads one byte."""
+    return SeedFileSource(io.BytesIO(np.asarray(selections, dtype=np.uint8).tobytes()))
+
+
+def check_against_gather(data, pool, make_selector):
+    """Whiten at 1 and 2 workers, compare with the gather kernel applied to
+    the recorded selections, and unwhiten back to the input."""
+    maps = np.array([p.map for p in pool.permutations], dtype=np.intp)
+    full = len(data) * 8 // pool.size * pool.size // 8
+    for workers in (1, 2):
+        cfg = WhitenConfig(n_qubits=pool.n_qubits, pool_count=pool.count,
+                           record_selections=True)
+        out = io.BytesIO()
+        trace = whiten_stream(io.BytesIO(data), pool, cfg, make_selector(), out,
+                              workers=workers)
+        expected = gather_kernel(maps, pool.size)(data[:full], trace.indices) + data[full:]
+        assert out.getvalue() == expected
+        back = io.BytesIO()
+        unwhiten_stream(io.BytesIO(expected), pool, trace, back, workers=workers)
+        assert back.getvalue() == data
+    return trace
+
+
+def test_every_16_bit_chunk_through_every_member():
+    rng = np.random.default_rng(16)
+    perms = [IndexPermutation.identity(16), IndexPermutation(np.arange(15, -1, -1))]
+    perms += [IndexPermutation(rng.permutation(16)) for _ in range(6)]
+    pool = MatrixPool(n_qubits=4, permutations=tuple(perms))
+    # copy m of all 2^16 chunk values (1 MiB in all) goes through member m
+    every = np.arange(1 << 16, dtype=">u2").tobytes()
+    trace = check_against_gather(every * 8, pool,
+                                 lambda: scripted(np.repeat(np.arange(8), 1 << 16)))
+    assert np.array_equal(np.bincount(trace.indices), [1 << 16] * 8)
+
+
+def test_groups_mostly_padding():
+    # 128 chunks of 8 KiB per block for 32 members: about 4 rows each, so
+    # most groups of 8 are padding; the last block is only a 1031-byte tail
+    data = CounterSource("sliced-pad-in").read_bytes(MIB + 1031)
+    pool = random_pool(16, 32, 1)
+    trace = check_against_gather(data, pool, lambda: CounterSource("sliced-pad-sel"))
+    assert len(trace) == 128
+    assert np.any(np.bincount(trace.indices, minlength=32) % 8)
+
+
+@pytest.mark.parametrize("n_qubits", [4, 7, 13])
+def test_one_member_takes_every_chunk(n_qubits):
+    data = CounterSource(f"sliced-one-{n_qubits}").read_bytes(MIB + 2 * (1 << n_qubits) // 8 + 1)
+    pool = random_pool(n_qubits, 4, n_qubits)
+    chunks = len(data) * 8 // pool.size
+    trace = check_against_gather(data, pool, lambda: scripted(np.full(chunks, 2)))
+    assert set(trace.indices.tolist()) == {2}
+
+
+@pytest.mark.parametrize("n_qubits", [5, 10])
+def test_members_never_selected(n_qubits):
+    # two blocks; members 1 and 6 only, then 0, 3 and 4 only
+    data = CounterSource(f"sliced-some-{n_qubits}").read_bytes(2 * MIB)
+    per_block = MIB * 8 // (1 << n_qubits)
+    rng = np.random.default_rng(n_qubits)
+    selections = np.concatenate([rng.choice([1, 6], per_block),
+                                 rng.choice([0, 3, 4], per_block)])
+    pool = random_pool(n_qubits, 8, 100 + n_qubits)
+    trace = check_against_gather(data, pool, lambda: scripted(selections))
+    assert np.array_equal(trace.indices, selections)
+
+
+def test_block_memory_stays_near_the_block():
+    # 2 MiB at n=13, M=32: the gather kernel's one-byte-per-bit arrays
+    # peaked at 22 MiB; the sliced kernel holds a few block-sized arrays
+    pool = generate_pool(13, 32, CounterSource("sliced-mem-pool"))
+    data = CounterSource("sliced-mem-in").read_bytes(2 * MIB)
+    cfg = WhitenConfig(n_qubits=13, pool_count=32)
+    tracemalloc.start()
+    try:
+        whiten_stream(io.BytesIO(data), pool, cfg, CounterSource("sliced-mem-sel"),
+                      io.BytesIO(), workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * MIB
