@@ -13,7 +13,9 @@ prints. Config keys are long option names, with dashes or underscores.
 gen-pool honours n_qubits, count, mode, tag, source, seed_file, key and
 counter; whiten honours pool, trace, workers, source, seed_file, key and
 counter; unwhiten honours pool, trace and workers. Other keys are ignored,
-so one manifest can drive a whole pipeline.
+so one manifest can drive a whole pipeline. ``--workers`` (and
+``PWHITEN_WORKERS``, and the ``workers`` key) must be an int of at least 1;
+it is accepted for compatibility, and whitening runs in one thread.
 """
 
 from __future__ import annotations
@@ -144,8 +146,7 @@ def _cmd_whiten(args: argparse.Namespace) -> int:
     # whitened output that nothing could unwhiten.
     with _make_selector(args) as selector, open(args.input, "rb") as src, \
             _atomic_output(args.output) as out, trace_output as trace_fh:
-        trace = whiten_stream(src, pool, cfg, selector, out,
-                              workers=args.workers)
+        trace = whiten_stream(src, pool, cfg, selector, out)
         if trace is not None:
             trace_save(trace, trace_fh)
     if args.trace is not None:
@@ -162,7 +163,7 @@ def _cmd_unwhiten(args: argparse.Namespace) -> int:
     with open(args.trace, "rb") as fh:
         trace = trace_load(fh)
     with open(args.input, "rb") as src, _atomic_output(args.output) as out:
-        unwhiten_stream(src, pool, trace, out, workers=args.workers)
+        unwhiten_stream(src, pool, trace, out)
     print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
@@ -253,7 +254,8 @@ def _build_parser():
                                 "writes and unwhiten reads")
     pool_opts.add_argument("--workers", type=int, metavar="W",
                            default=os.environ.get(WORKERS_ENV, 1),
-                           help=f"parallel workers (or set {WORKERS_ENV}; "
+                           help=f"accepted for compatibility; whitening runs "
+                                f"in one thread (or set {WORKERS_ENV}; "
                                 "default %(default)s)")
 
     parser = argparse.ArgumentParser(

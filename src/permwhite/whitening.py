@@ -3,9 +3,10 @@ chunk with a randomly selected pool member, and emit the result.
 
 Output size always equals input size. A final partial chunk (possible only
 when N > 8, since every byte then may not fill a whole chunk) is copied
-through unchanged rather than padded or dropped. Selection draws are made
-by the coordinator in chunk-ordinal order before any parallel dispatch, so
-results never depend on scheduling.
+through unchanged rather than padded or dropped. Whitening runs in one
+thread: each block's selections are drawn in chunk-ordinal order, then the
+block is permuted and written. The ``workers`` keyword of ``whiten_stream``
+and ``unwhiten_stream`` is accepted for compatibility and ignored.
 
 Two kernels permute a block's chunks. Chunks of at most 8 bits go through
 one 2^N-entry table per pool member. Larger chunks are bit-sliced: grouped
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import BinaryIO, Optional
 
@@ -28,7 +28,7 @@ from ._util import iter_blocks
 from ._util import read_exact as _read_exact
 from .entropy import EntropySource
 from .errors import FormatError
-from .permutation import MatrixPool
+from .permutation import DEFAULT_MAX_QUBITS, MatrixPool
 
 TRACE_MAGIC = b"PWTR"
 TRACE_VERSION = 1
@@ -80,7 +80,8 @@ def whiten_stream(
     output: BinaryIO,
     workers: int = 1,
 ) -> Optional[SelectionTrace]:
-    """Whiten ``input`` into ``output``; returns the trace if recording."""
+    """Whiten ``input`` into ``output``; returns the trace if recording.
+    ``workers`` is accepted for compatibility and ignored."""
     if pool.size != 1 << cfg.n_qubits:
         raise ValueError(
             f"pool/config mismatch: pool chunk size {pool.size}, "
@@ -102,7 +103,7 @@ def whiten_stream(
             recorded.extend(np.ascontiguousarray(sel, dtype="<u4"))
         return sel
 
-    _transform(input, output, pool.size, maps, draw, workers)
+    _transform(input, output, pool.size, maps, draw)
 
     if recorded is None:
         return None
@@ -117,7 +118,8 @@ def unwhiten_stream(
     output: BinaryIO,
     workers: int = 1,
 ) -> None:
-    """Invert a whitening run recorded in ``trace``; bit-exact recovery."""
+    """Invert a whitening run recorded in ``trace``; bit-exact recovery.
+    ``workers`` is accepted for compatibility and ignored."""
     if trace.chunk_bits != pool.size:
         raise ValueError(
             f"trace chunk size {trace.chunk_bits} != pool chunk size {pool.size}"
@@ -145,14 +147,14 @@ def unwhiten_stream(
         consumed += n_chunks
         return sel
 
-    _transform(input, output, pool.size, inverse_maps, draw, workers)
+    _transform(input, output, pool.size, inverse_maps, draw)
     if consumed != trace.indices.size:
         raise ValueError(
             f"trace too long: {trace.indices.size} entries for {consumed} chunks"
         )
 
 
-def _transform(input, output, chunk_bits, maps, draw, workers):
+def _transform(input, output, chunk_bits, maps, draw):
     """Shared streaming loop. ``draw(n)`` supplies pool indices per block;
     ``maps`` is an (M, chunk_bits) intp array, ``out[i] = in[maps[m, i]]``.
     A chunk holds at most 8 KiB, so every full block is whole chunks and
@@ -160,26 +162,10 @@ def _transform(input, output, chunk_bits, maps, draw, workers):
     kernel = _table_kernel if chunk_bits <= 8 else _sliced_kernel
     permute = kernel(maps, chunk_bits)
     chunk_bytes = max(chunk_bits // 8, 1)
-
-    def process(block: bytes, sel: np.ndarray) -> bytes:
+    for block in iter_blocks(input):
+        sel = draw(len(block) * 8 // chunk_bits)
         full = len(block) - len(block) % chunk_bytes
-        return permute(block[:full], sel) + block[full:]
-
-    blocks = ((block, draw(len(block) * 8 // chunk_bits))
-              for block in iter_blocks(input))
-    if workers <= 1:
-        for block, sel in blocks:
-            output.write(process(block, sel))
-        return
-
-    with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-        pending = []
-        for block, sel in blocks:
-            pending.append(pool_exec.submit(process, block, sel))
-            while len(pending) > workers + 1:
-                output.write(pending.pop(0).result())
-        for fut in pending:
-            output.write(fut.result())
+        output.write(permute(block[:full], sel) + block[full:])
 
 
 def _table_kernel(maps, chunk_bits):
@@ -311,6 +297,10 @@ def trace_load(source: BinaryIO) -> SelectionTrace:
         raise FormatError(f"bad magic {magic!r}: not a trace file")
     if version != TRACE_VERSION:
         raise FormatError(f"unsupported trace format version {version}")
+    # The CRC covers only the indices, so the header's chunk size is checked here.
+    if chunk_bits & (chunk_bits - 1) or not 2 <= chunk_bits <= 1 << DEFAULT_MAX_QUBITS:
+        raise FormatError(f"trace chunk size {chunk_bits} is not 2^n for n in "
+                          f"1..{DEFAULT_MAX_QUBITS}")
     payload = _read_exact(source, count * 4, "trace indices")
     (crc,) = struct.unpack("<I", _read_exact(source, 4, "trace CRC"))
     if zlib.crc32(payload) != crc:

@@ -294,6 +294,30 @@ def test_lying_trace_header_is_format_error(tmp_path, pool_file, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("chunk_bits", [0, 3, 1 << 17])
+def test_impossible_trace_chunk_size_is_format_error(tmp_path, pool_file, capsys,
+                                                     chunk_bits):
+    src = tmp_path / "in.bin"
+    white = tmp_path / "white.bin"
+    trace = tmp_path / "run.trace"
+    src.write_bytes(CounterSource("cli-chunk-bits").read_bytes(1_000))
+    rc = run_cli("whiten", str(src), str(white), "--pool", str(pool_file),
+                 "--trace", str(trace), "--source", "det")
+    assert rc == 0
+    # The header's chunk size is not under the trace CRC.
+    data = bytearray(trace.read_bytes())
+    struct.pack_into("<I", data, 6, chunk_bits)
+    trace.write_bytes(bytes(data))
+    out = tmp_path / "out.bin"
+    rc = run_cli("unwhiten", str(white), str(out), "--pool", str(pool_file),
+                 "--trace", str(trace))
+    assert rc == 4
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+    leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".permwhite")]
+    assert leftovers == []
+
+
 @pytest.mark.parametrize("n_qubits, count", [(40, 1), (17, 1), (3, 2**32 - 1)])
 def test_lying_pool_header_is_format_error(tmp_path, capsys, n_qubits, count):
     record = struct.pack("<8I", *range(8))

@@ -1,8 +1,10 @@
 """Streaming whitening engine: framing, worked byte streams, round trips,
 the trace file format, and the determinism contract."""
 
+import hashlib
 import io
 import struct
+import threading
 import tracemalloc
 import zlib
 
@@ -259,3 +261,56 @@ def test_trace_save_does_not_copy_the_indices():
     assert sink.size == len(expected.getvalue())
     assert sink.crc == zlib.crc32(expected.getvalue())
     assert peak <= 0.1 * trace.indices.nbytes
+
+
+class ThreadWatchingSink:
+    """Write-only sink that keeps a SHA-256 of its input and the most
+    threads alive at any write."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.max_threads = 0
+
+    def write(self, data):
+        self.max_threads = max(self.max_threads, threading.active_count())
+        self.sha.update(data)
+
+
+def watched(call, workers):
+    """Run ``call(sink, workers)``; return its output digest, its tracemalloc
+    peak and its result, after checking that it started no thread."""
+    sink = ThreadWatchingSink()
+    before = threading.active_count()
+    tracemalloc.start()
+    try:
+        result = call(sink, workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.max_threads <= before
+    return sink.sha.digest(), peak, result
+
+
+def test_workers_start_no_thread_and_add_no_memory():
+    # ``workers`` is accepted and ignored: 8 workers run exactly like one.
+    pool = generate_pool(13, 4, CounterSource("one-thread-pool"))
+    data = CounterSource("one-thread-in").read_bytes(8 << 20)
+    cfg = WhitenConfig(n_qubits=13, pool_count=4, record_selections=True)
+
+    def whiten(sink, workers):
+        return whiten_stream(io.BytesIO(data), pool, cfg,
+                             CounterSource("one-thread-sel"), sink, workers=workers)
+
+    white1, white_peak1, trace = watched(whiten, 1)
+    white8, white_peak8, trace8 = watched(whiten, 8)
+    assert white8 == white1
+    assert trace8 == trace
+    assert white_peak8 <= 1.25 * white_peak1
+
+    def unwhiten(sink, workers):
+        unwhiten_stream(io.BytesIO(data), pool, trace, sink, workers=workers)
+
+    back1, back_peak1, _ = watched(unwhiten, 1)
+    back8, back_peak8, _ = watched(unwhiten, 8)
+    assert back8 == back1
+    assert back_peak8 <= 1.25 * back_peak1
