@@ -7,15 +7,13 @@ seed file), 4 corrupt or unrecognized file format, 5 statistical-test
 precondition not met (input too short).
 
 Option resolution order: command-line flags, then a ``--config`` file of
-flat ``key = value`` lines, then the environment (``PWHITEN_POOL``,
-``PWHITEN_WORKERS``), then the built-in defaults that ``COMMAND --help``
-prints. Config keys are long option names, with dashes or underscores.
-gen-pool honours n_qubits, count, mode, tag, source, seed_file, key and
-counter; whiten honours pool, trace, workers, source, seed_file, key and
-counter; unwhiten honours pool, trace and workers. Other keys are ignored,
-so one manifest can drive a whole pipeline. ``--workers`` (and
-``PWHITEN_WORKERS``, and the ``workers`` key) must be an int of at least 1;
-it is accepted for compatibility, and whitening runs in one thread.
+flat ``key = value`` lines, then ``PWHITEN_POOL`` for the pool, then the
+built-in defaults that ``COMMAND --help`` prints. Config keys are long
+option names, with dashes or underscores. gen-pool honours n_qubits, count,
+mode, tag, source, seed_file, key and counter; whiten honours pool, trace,
+source, seed_file, key and counter; unwhiten honours pool and trace. Other
+keys are ignored, so one manifest can drive a whole pipeline. ``--workers``
+(an int of at least 1) is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from .whitening import (
 )
 
 POOL_ENV = "PWHITEN_POOL"
-WORKERS_ENV = "PWHITEN_WORKERS"
 
 _EXIT_USAGE = 2
 _EXIT_IO = 3
@@ -58,14 +55,15 @@ _EXIT_PRECONDITION = 5
 _SOURCE_KEYS = ("source", "seed_file", "key", "counter")
 CONFIG_KEYS = {
     "gen-pool": ("n_qubits", "count", "mode", "tag", *_SOURCE_KEYS),
-    "whiten": ("pool", "trace", "workers", *_SOURCE_KEYS),
-    "unwhiten": ("pool", "trace", "workers"),
+    "whiten": ("pool", "trace", *_SOURCE_KEYS),
+    "unwhiten": ("pool", "trace"),
 }
 
 _REPORT_MAX_BYTES = 64 * 1024  # a real analyze --csv report is under 1 KiB
 
 
-def _load_config(path: str, command: str) -> dict:
+def _load_config(path: str, command: str) -> list:
+    """``command``'s keys as ``--key=value`` flags: "=" keeps "-1" a value."""
     keys = CONFIG_KEYS.get(command, ())
     settings = {}
     with open(path, encoding="utf-8") as fh:
@@ -78,8 +76,8 @@ def _load_config(path: str, command: str) -> dict:
             if not sep or not key:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             if key in keys:
-                settings[key] = value.strip()
-    return settings
+                settings[key] = f"--{key.replace('_', '-')}={value.strip()}"
+    return list(settings.values())
 
 
 def _umask() -> int:
@@ -126,16 +124,19 @@ def _cmd_gen_pool(args: argparse.Namespace) -> int:
 
 
 def _open_pool(args: argparse.Namespace):
-    if args.pool is None:
-        raise ValueError(f"no pool file given (use --pool or {POOL_ENV})")
-    with open(args.pool, "rb") as fh:
-        pool = pool_load(fh)
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
-    return pool
+    path = os.environ.get(POOL_ENV) if args.pool is None else args.pool
+    if path is None:
+        raise ValueError(f"no pool file given (use --pool or {POOL_ENV})")
+    with open(path, "rb") as fh:
+        return pool_load(fh)
 
 
 def _cmd_whiten(args: argparse.Namespace) -> int:
+    if (args.trace is not None
+            and os.path.realpath(args.trace) == os.path.realpath(args.output)):
+        raise ValueError(f"--trace {args.trace} is the output file")
     pool = _open_pool(args)
     cfg = WhitenConfig(n_qubits=pool.n_qubits, pool_count=pool.count,
                        record_selections=args.trace is not None)
@@ -149,10 +150,8 @@ def _cmd_whiten(args: argparse.Namespace) -> int:
         trace = whiten_stream(src, pool, cfg, selector, out)
         if trace is not None:
             trace_save(trace, trace_fh)
-    if args.trace is not None:
-        print(f"wrote {args.output} and trace {args.trace}", file=sys.stderr)
-    else:
-        print(f"wrote {args.output}", file=sys.stderr)
+    traced = "" if args.trace is None else f" and trace {args.trace}"
+    print(f"wrote {args.output}{traced}", file=sys.stderr)
     return 0
 
 
@@ -247,16 +246,14 @@ def _build_parser():
 
     pool_opts = argparse.ArgumentParser(add_help=False)
     pool_opts.add_argument("--pool", metavar="FILE",
-                           default=os.environ.get(POOL_ENV),
                            help=f"pool file (or set {POOL_ENV})")
     pool_opts.add_argument("--trace", metavar="FILE",
                            help="per-chunk selection trace that whiten "
                                 "writes and unwhiten reads")
-    pool_opts.add_argument("--workers", type=int, metavar="W",
-                           default=os.environ.get(WORKERS_ENV, 1),
-                           help=f"accepted for compatibility; whitening runs "
-                                f"in one thread (or set {WORKERS_ENV}; "
-                                "default %(default)s)")
+    pool_opts.add_argument("--workers", type=int, metavar="W", default=1,
+                           help="an int of at least 1, accepted for "
+                                "compatibility and ignored: whitening runs "
+                                "in one thread")
 
     parser = argparse.ArgumentParser(
         prog="permwhite",
@@ -325,18 +322,21 @@ def _build_parser():
     p.add_argument("output")
     p.set_defaults(func=_cmd_vn)
 
-    return parser, sub.choices
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.config:
-            # Config values become subcommand defaults: flags still win.
+            # argv[0] is the command (the top-level parser takes only --help);
+            # config flags go right after it, so the command line's win.
             config = _load_config(args.config, args.command)
-            commands[args.command].set_defaults(**config)
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args([argv[0], *config, *argv[1:]])
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE

@@ -1,16 +1,26 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import argparse
 import io
 import os
 import stat
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
+from permwhite import cli
 from permwhite.cli import main
 from permwhite.entropy import CounterSource
-from permwhite.permutation import IndexPermutation, MatrixPool, pool_save
+from permwhite.permutation import (
+    IndexPermutation,
+    MatrixPool,
+    pool_load,
+    pool_save,
+)
 from permwhite.randtests import EntReport
 from permwhite.reports import report_to_csv
 
@@ -150,6 +160,17 @@ def test_unwritable_trace_leaves_output_untouched(tmp_path, pool_file):
     assert dst.read_bytes() == b"an earlier output"
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".permwhite")]
     assert leftovers == []
+
+
+def test_trace_at_output_path_is_usage_error(tmp_path, pool_file, capsys):
+    src = tmp_path / "raw.bin"
+    src.write_bytes(CounterSource("cli-same").read_bytes(4_096))
+    out = tmp_path / "x.bin"
+    rc = run_cli("whiten", str(src), str(out), "--pool", str(pool_file),
+                 "--trace", str(tmp_path / "." / "x.bin"), "--source", "det")
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["raw.bin", "small.pool"]
 
 
 # --- analyze / compare ---
@@ -398,14 +419,24 @@ def test_pool_env_variable(tmp_path, monkeypatch, pool_file):
 
 
 @pytest.mark.parametrize("workers", ["0", "abc"])
-def test_workers_env_variable_is_validated(tmp_path, monkeypatch, pool_file,
-                                           workers):
-    monkeypatch.setenv("PWHITEN_WORKERS", workers)
+def test_workers_env_variable_is_ignored(tmp_path, monkeypatch, pool_file,
+                                         workers):
     src = tmp_path / "in.bin"
-    src.write_bytes(b"\x00" * 16)
-    rc = run_cli("whiten", str(src), str(tmp_path / "out.bin"),
-                 "--pool", str(pool_file), "--source", "det")
-    assert rc == 2
+    src.write_bytes(CounterSource("cli-workers").read_bytes(2048))
+
+    def whiten(name, *extra):
+        dst = tmp_path / name
+        rc = run_cli("whiten", str(src), str(dst), "--pool", str(pool_file),
+                     "--source", "det", *extra)
+        assert rc == 0
+        return dst.read_bytes()
+
+    plain = whiten("plain.bin")
+    monkeypatch.setenv("PWHITEN_WORKERS", workers)
+    assert whiten("env.bin") == plain
+    config = tmp_path / "run.conf"
+    config.write_text(f"workers = {workers}\n")
+    assert whiten("conf.bin", "--config", str(config)) == plain
 
 
 def test_config_file_supplies_options(tmp_path):
@@ -530,3 +561,59 @@ def test_pool_tag_not_utf8_is_format_error(tmp_path, capsys):
     assert rc == 4
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- one parser per process ---
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("main() built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", refuse)
+    monkeypatch.delenv("PWHITEN_POOL", raising=False)
+    config = tmp_path / "run.conf"
+    config.write_text("count = 3\nsource = det\n")
+    pool = tmp_path / "conf.pool"
+    rc = run_cli("gen-pool", str(pool), "--n-qubits", "2",
+                 "--config", str(config))
+    assert rc == 0
+    # A config applies to its own call only.
+    fresh = tmp_path / "fresh.pool"
+    rc = run_cli("gen-pool", str(fresh), "--n-qubits", "2", "--source", "det")
+    assert rc == 0
+    with open(pool, "rb") as fh_conf, open(fresh, "rb") as fh_fresh:
+        assert (pool_load(fh_conf).count, pool_load(fh_fresh).count) == (3, 32)
+
+    # PWHITEN_POOL is read when a command runs, not when the parser is built.
+    monkeypatch.setenv("PWHITEN_POOL", str(pool))
+    src = tmp_path / "in.bin"
+    src.write_bytes(CounterSource("cli-once").read_bytes(4_099))
+    white = tmp_path / "white.bin"
+    trace = tmp_path / "run.trace"
+    back = tmp_path / "back.bin"
+    rc = run_cli("whiten", str(src), str(white), "--trace", str(trace),
+                 "--source", "det")
+    assert rc == 0
+    rc = run_cli("unwhiten", str(white), str(back), "--trace", str(trace))
+    assert rc == 0
+    assert back.read_bytes() == src.read_bytes()
+
+
+def run_module(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "permwhite.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point():
+    done = run_module("gen-pool", "--help")
+    assert done.returncode == 0
+    assert "(default 13)" in done.stdout
+    done = run_module("whiten")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "usage:" in done.stderr
