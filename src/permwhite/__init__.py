@@ -8,7 +8,7 @@ Statistics batteries (the classic five byte-mode measures and four
 bit-level tests) quantify the effect.
 """
 
-from .baselines import VonNeumannExtractor, von_neumann, xor_combine
+from .baselines import von_neumann, xor_combine
 from .entropy import (
     CounterSource,
     EntropySource,
@@ -81,7 +81,6 @@ __all__ = [
     "SHUFFLE_MODES",
     "SeedFileSource",
     "SelectionTrace",
-    "VonNeumannExtractor",
     "WhitenConfig",
     "analyze",
     "compare_reports",

@@ -1,5 +1,6 @@
 """Classical whiteners used as comparison baselines: the two-stream XOR
-combiner and the Von Neumann pairwise debiaser."""
+combiner and the Von Neumann pairwise debiaser, which works on whole bytes
+through a 256-entry pair table and never expands a byte into bits."""
 
 from __future__ import annotations
 
@@ -8,6 +9,15 @@ from typing import BinaryIO
 import numpy as np
 
 from ._util import iter_blocks
+
+# What each byte value's four bit pairs emit, most significant pair first:
+# 01 -> 0, 10 -> 1, and _NOTHING for 00 and 11.
+_NOTHING = 2
+_PAIR_CODES = np.array([_NOTHING, 0, 1, _NOTHING], dtype=np.uint8)[
+    (np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3]
+# Bytes per von_neumann step. np.compress (a boolean index branches per
+# element) builds an intp index, 8 bytes per kept code; small steps bound it.
+_VN_STEP = 1 << 16
 
 
 def xor_combine(a: BinaryIO, b: BinaryIO, out: BinaryIO) -> int:
@@ -22,52 +32,21 @@ def xor_combine(a: BinaryIO, b: BinaryIO, out: BinaryIO) -> int:
     return written
 
 
-class VonNeumannExtractor:
-    """Incremental extractor over a bit stream.
-
-    Bits are taken two at a time: 01 emits 0, 10 emits 1, 00 and 11 emit
-    nothing. Pairing is global across the whole stream, so a half-pair is
-    held between feeds when a feed delivers an odd number of bits.
-    """
-
-    def __init__(self):
-        self.pending: int | None = None
-
-    def feed_bits(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.uint8)
-        if self.pending is not None:
-            bits = np.concatenate(([self.pending], bits))
-            self.pending = None
-        if bits.size % 2:
-            self.pending = int(bits[-1])
-            bits = bits[:-1]
-        pairs = bits.reshape(-1, 2)
-        # 01 -> 0 and 10 -> 1: the first bit of each differing pair.
-        return pairs[pairs[:, 0] != pairs[:, 1], 0]
-
-    def finish(self) -> None:
-        # A final unpaired bit never forms a pair and is discarded.
-        self.pending = None
-
-
 def von_neumann(input: BinaryIO, out: BinaryIO) -> int:
     """Debias a byte stream; returns the number of output bits.
 
     Output bits are packed most-significant-bit first; the final partial
     byte, if any, is zero-padded on the right.
     """
-    extractor = VonNeumannExtractor()
     carry = np.empty(0, dtype=np.uint8)
     emitted = 0
-    for block in iter_blocks(input):
-        outbits = extractor.feed_bits(np.unpackbits(np.frombuffer(block, dtype=np.uint8)))
+    for block in iter_blocks(input, _VN_STEP):
+        codes = _PAIR_CODES.take(np.frombuffer(block, dtype=np.uint8), axis=0).ravel()
+        outbits = np.compress(codes < _NOTHING, codes)
         emitted += outbits.size
-        carry = np.concatenate((carry, outbits)) if carry.size else outbits
+        carry = np.concatenate((carry, outbits))
         whole = carry.size - carry.size % 8
-        if whole:
-            out.write(np.packbits(carry[:whole]).tobytes())
-            carry = carry[whole:]
-    extractor.finish()
-    if carry.size:
-        out.write(np.packbits(carry).tobytes())
+        out.write(np.packbits(carry[:whole]).tobytes())
+        carry = carry[whole:]
+    out.write(np.packbits(carry).tobytes())
     return emitted

@@ -123,21 +123,25 @@ def _cmd_gen_pool(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_pool(args: argparse.Namespace):
+def _open_pool(args: argparse.Namespace, writes_trace: bool):
+    """Load the pool after refusing an output that is the pool or the trace."""
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
     path = os.environ.get(POOL_ENV) if args.pool is None else args.pool
     if path is None:
         raise ValueError(f"no pool file given (use --pool or {POOL_ENV})")
+    real = {p: os.path.realpath(p) for p in (path, args.trace, args.output) if p is not None}
+    clashes = [(args.output, "pool", path), (args.output, "trace", args.trace),
+               (args.trace if writes_trace else None, "pool", path)]
+    for out, what, kept in clashes:
+        if None not in (out, kept) and real[out] == real[kept]:
+            raise ValueError(f"output {out} would overwrite the {what} {kept}")
     with open(path, "rb") as fh:
         return pool_load(fh)
 
 
 def _cmd_whiten(args: argparse.Namespace) -> int:
-    if (args.trace is not None
-            and os.path.realpath(args.trace) == os.path.realpath(args.output)):
-        raise ValueError(f"--trace {args.trace} is the output file")
-    pool = _open_pool(args)
+    pool = _open_pool(args, writes_trace=True)
     cfg = WhitenConfig(n_qubits=pool.n_qubits, pool_count=pool.count,
                        record_selections=args.trace is not None)
     trace_output = (contextlib.nullcontext() if args.trace is None
@@ -156,7 +160,7 @@ def _cmd_whiten(args: argparse.Namespace) -> int:
 
 
 def _cmd_unwhiten(args: argparse.Namespace) -> int:
-    pool = _open_pool(args)
+    pool = _open_pool(args, writes_trace=False)
     if args.trace is None:
         raise ValueError("unwhiten requires --trace")
     with open(args.trace, "rb") as fh:

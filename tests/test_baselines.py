@@ -1,6 +1,7 @@
 """XOR combiner and Von Neumann extractor."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permwhite._util import BLOCK_BYTES
-from permwhite.baselines import VonNeumannExtractor, von_neumann, xor_combine
+from permwhite.baselines import von_neumann, xor_combine
 from permwhite.entropy import CounterSource
 
 
@@ -108,13 +109,25 @@ def test_vn_padding_of_final_byte():
     assert out == bytes([0xE0])
 
 
-def test_vn_extractor_carries_half_pair():
-    whole = VonNeumannExtractor()
-    got_whole = whole.feed_bits(np.array([0, 1, 1, 0, 0, 0, 1, 1], np.uint8))
-    split = VonNeumannExtractor()
-    parts = [split.feed_bits(np.array(chunk, np.uint8))
-             for chunk in ([0], [1, 1], [0, 0], [0, 1, 1])]
-    assert np.concatenate(parts).tolist() == got_whole.tolist()
+def scalar_vn(data):
+    """The pair rule one bit pair at a time: 01 emits 0, 10 emits 1."""
+    bits = []
+    for byte in data:
+        for shift in (6, 4, 2, 0):
+            pair = (byte >> shift) & 3
+            if pair in (0b01, 0b10):
+                bits.append(pair >> 1)
+    padded = bits + [0] * (-len(bits) % 8)
+    packed = bytes(int("".join(map(str, padded[i:i + 8])), 2)
+                   for i in range(0, len(padded), 8))
+    return packed, len(bits)
+
+
+def test_vn_every_byte_value_matches_pair_rule():
+    for value in range(256):
+        assert vn_bytes(bytes([value])) == scalar_vn(bytes([value])), value
+    every = bytes(range(256))
+    assert vn_bytes(every) == scalar_vn(every)
 
 
 def test_vn_block_boundary_independence():
@@ -139,3 +152,15 @@ def test_vn_debiases_ninety_percent_ones():
     ones = int(emitted.sum())
     sigma = (count * 0.25) ** 0.5
     assert abs(ones - count / 2) < 3 * sigma
+
+
+def test_vn_never_expands_bytes_into_bits():
+    # One byte per bit of a 1 MiB block is 8 MiB before any temporaries.
+    src = io.BytesIO(CounterSource("vn-mem").read_bytes(4 * B))
+    tracemalloc.start()
+    try:
+        von_neumann(src, io.BytesIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20

@@ -173,6 +173,39 @@ def test_trace_at_output_path_is_usage_error(tmp_path, pool_file, capsys):
     assert sorted(os.listdir(tmp_path)) == ["raw.bin", "small.pool"]
 
 
+@pytest.mark.parametrize("argv, via", [
+    (("unwhiten", "w.bin", "t.tr", "--trace", "t.tr"), "flag"),
+    (("unwhiten", "w.bin", "./small.pool", "--trace", "t.tr"), "flag"),
+    (("unwhiten", "w.bin", "small.pool", "--trace", "t.tr"), "env"),
+    (("whiten", "raw.bin", "small.pool", "--trace", "t2.tr"), "flag"),
+    (("whiten", "raw.bin", "small.pool", "--trace", "t2.tr"), "env"),
+    (("whiten", "raw.bin", "small.pool", "--trace", "t2.tr"), "config"),
+    (("whiten", "raw.bin", "w2.bin", "--trace", "small.pool"), "flag"),
+], ids=["unwhiten-over-trace", "unwhiten-over-pool", "unwhiten-over-env-pool",
+        "whiten-over-pool", "whiten-over-env-pool", "whiten-over-config-pool",
+        "trace-over-pool"])
+def test_output_over_pool_or_trace_is_usage_error(tmp_path, monkeypatch,
+                                                  pool_file, argv, via):
+    monkeypatch.chdir(tmp_path)
+    Path("raw.bin").write_bytes(CounterSource("cli-clobber").read_bytes(4_096))
+    assert run_cli("whiten", "raw.bin", "w.bin", "--pool", "small.pool",
+                   "--trace", "t.tr", "--source", "det") == 0
+    kept = {name: Path(name).read_bytes() for name in ("small.pool", "t.tr")}
+    before = sorted(os.listdir("."))
+    extra = []
+    if via == "flag":
+        extra = ["--pool", "small.pool"]
+    elif via == "env":
+        monkeypatch.setenv(cli.POOL_ENV, "small.pool")
+    else:
+        Path("run.cfg").write_text("pool = small.pool\n")
+        before.append("run.cfg")
+        extra = ["--config", "run.cfg"]
+    assert run_cli(*argv, *extra) == 2
+    assert {name: Path(name).read_bytes() for name in kept} == kept
+    assert sorted(os.listdir(".")) == sorted(before)
+
+
 # --- analyze / compare ---
 
 def test_analyze_cyclic_file(tmp_path, capsys):
