@@ -123,6 +123,14 @@ def _cmd_gen_pool(args: argparse.Namespace) -> int:
     return 0
 
 
+def _identity(path: str):
+    """The file ``path`` names: its inode if it exists, else its real path."""
+    try:
+        return os.stat(path)[1:3]  # st_ino, st_dev
+    except OSError:
+        return os.path.realpath(path)
+
+
 def _open_pool(args: argparse.Namespace, writes_trace: bool):
     """Load the pool after refusing an output that is the pool or the trace."""
     if args.workers < 1:
@@ -130,11 +138,11 @@ def _open_pool(args: argparse.Namespace, writes_trace: bool):
     path = os.environ.get(POOL_ENV) if args.pool is None else args.pool
     if path is None:
         raise ValueError(f"no pool file given (use --pool or {POOL_ENV})")
-    real = {p: os.path.realpath(p) for p in (path, args.trace, args.output) if p is not None}
+    ident = {p: _identity(p) for p in (path, args.trace, args.output) if p is not None}
     clashes = [(args.output, "pool", path), (args.output, "trace", args.trace),
                (args.trace if writes_trace else None, "pool", path)]
     for out, what, kept in clashes:
-        if None not in (out, kept) and real[out] == real[kept]:
+        if None not in (out, kept) and ident[out] == ident[kept]:
             raise ValueError(f"output {out} would overwrite the {what} {kept}")
     with open(path, "rb") as fh:
         return pool_load(fh)

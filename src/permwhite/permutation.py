@@ -44,14 +44,17 @@ class IndexPermutation:
     __slots__ = ("size", "map")
 
     def __init__(self, mapping):
-        arr = np.array(mapping, dtype=np.uint32)
+        arr = np.asarray(mapping)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("mapping must be a non-empty 1-d sequence")
-        n = arr.size
-        if arr.max(initial=0) >= n or np.bincount(arr, minlength=n).max() != 1:
+        # Before the uint32 cast, which would truncate floats and wrap integers.
+        if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= arr.size:
+            raise ValueError("mapping entries must be integers in 0..N-1")
+        arr = arr.astype(np.uint32)
+        if np.bincount(arr, minlength=arr.size).max() != 1:
             raise ValueError("mapping is not a bijection on 0..N-1")
         arr.setflags(write=False)
-        self.size = n
+        self.size = arr.size
         self.map = arr
 
     @classmethod

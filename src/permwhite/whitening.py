@@ -10,9 +10,9 @@ and ``unwhiten_stream`` is accepted for compatibility and ignored.
 
 Two kernels permute a block's chunks. Chunks of at most 8 bits go through
 one 2^N-entry table per pool member. Larger chunks are bit-sliced: grouped
-8 at a time per member, an 8x8 bit transpose turns each bit position of
-the 8 chunks into one byte, the member's map then moves bytes instead of
-bits, and the same transpose turns the bytes back into chunks.
+8 at a time per member, an 8x8 bit transpose turns bit p of the 8 chunks
+into byte p, the member's own map then moves bytes instead of bits, and
+the same transpose turns the bytes back into chunks.
 """
 
 from __future__ import annotations
@@ -130,10 +130,9 @@ def unwhiten_stream(
             f"but the pool holds only {pool.count} permutations"
         )
     # Pool members are validated bijections, so invert them directly.
-    inverse_maps = np.empty((pool.count, pool.size), dtype=np.intp)
-    positions = np.arange(pool.size, dtype=np.intp)
-    for inv, perm in zip(inverse_maps, pool.permutations):
-        inv[perm.map] = positions
+    maps = np.array([p.map for p in pool.permutations], dtype=np.intp)
+    inverse_maps = np.empty_like(maps)
+    np.put_along_axis(inverse_maps, maps, np.arange(pool.size), axis=1)
     consumed = 0
 
     def draw(n_chunks: int) -> np.ndarray:
@@ -196,12 +195,13 @@ def _table_kernel(maps, chunk_bits):
 
 
 # Warren, Hacker's Delight, 7-3: transpose the 8x8 bit matrix held in a
-# little-endian uint64 (row r is byte r, column c is bit c of that byte) by
-# three masked shift/xor rounds. The transpose is its own inverse.
+# little-endian uint64 by three masked shift/xor rounds. Row r is byte r and
+# column c its bit c from the most significant, which in the uint64's own bit
+# numbering is the anti-diagonal transpose: byte c of the result holds column
+# c of every row, row r as its bit r, MSB first. It is its own inverse.
 _WORD = np.dtype("<u8")
 _TRANSPOSE_ROUNDS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
-    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
-
+    (9, 0x0055005500550055), (18, 0x0000333300003333), (36, 0x000000000F0F0F0F)))
 
 # Words per pass of the transpose: its 18 array operations then run on
 # 256 KiB that stays in cache, not on a whole (padded) block.
@@ -228,36 +228,24 @@ def _bit_transpose(words: np.ndarray) -> None:
 def _sliced_kernel(maps, chunk_bits):
     """Chunks of 16 or more bits, bit-sliced (Biham, FSE 1997): the chunks
     that selected one member are stacked in groups of 8, and an 8x8 bit
-    transpose of byte j of the 8 chunks makes byte c of the result hold
-    bit 8j + 7 - c of all 8 of them. Permuting a chunk's bits is then
-    permuting the group's bytes, one ``take`` per member, and a second
-    transpose turns the bytes back into chunks."""
+    transpose of byte j of the 8 chunks makes byte p of the result hold
+    chunk bit 8j + p of all 8 of them. Permuting a chunk's bits is then
+    permuting the group's bytes through the member's own map, one ``take``
+    per member, and a second transpose turns the bytes back into chunks."""
     chunk_bytes = chunk_bits // 8
-    positions = np.arange(chunk_bits)
-    # Byte position of chunk bit p after the transpose (an involution).
-    col = (positions & ~7) | (7 - (positions & 7))
-    # out byte col(i) = in byte col(maps[m, i]); take(col, axis=1) keeps
-    # each member's row contiguous.
-    byte_maps = col[maps.take(col, axis=1)]
     # Sorting one- or two-byte keys takes numpy's stable radix sort.
     key_dtype = np.min_scalar_type(len(maps) - 1)
 
     def process(buf: bytes, sel: np.ndarray) -> bytes:
         rows = np.frombuffer(buf, dtype=np.uint8).reshape(-1, chunk_bytes)
-        n_rows = rows.shape[0]
-        if n_rows == 0:
-            return b""
-        # Group the rows by member, in stable order, and pad each group to a
-        # multiple of 8 rows with copies of row 0 (dropped at the end).
-        keys = sel.astype(key_dtype)
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        counts = np.diff(np.r_[starts, n_rows])
-        padded = (counts + 7) & ~7
-        padded_starts = np.cumsum(padded) - padded
-        slot = np.arange(n_rows) + np.repeat(padded_starts - starts, counts)
-        source = np.zeros(int(padded.sum()), dtype=np.intp)
+        # Group the rows by member, in stable order, and pad each member's
+        # rows to whole groups of 8 with copies of row 0 (dropped at the end).
+        order = np.argsort(sel.astype(key_dtype), kind="stable")
+        counts = np.bincount(sel, minlength=len(maps))
+        groups = (counts + 7) // 8
+        first = np.cumsum(groups) - groups
+        slot = np.arange(len(order)) + np.repeat(8 * first + counts - np.cumsum(counts), counts)
+        source = np.zeros(8 * int(groups.sum()), dtype=np.intp)
         source[slot] = order
         grouped = rows.take(source, axis=0).reshape(-1, 8, chunk_bytes)
 
@@ -266,14 +254,14 @@ def _sliced_kernel(maps, chunk_bits):
         _bit_transpose(sliced.view(_WORD))
         planes = sliced.reshape(-1, chunk_bits)
         permuted = np.empty_like(planes)
-        for m, start, size in zip(ordered[starts], padded_starts // 8, padded // 8):
+        for m in np.flatnonzero(counts):
+            g = slice(first[m], first[m] + groups[m])
             # The maps are in range; "clip" lets take write straight into out.
-            np.take(planes[start:start + size], byte_maps[m], axis=1,
-                    out=permuted[start:start + size], mode="clip")
+            np.take(planes[g], maps[m], axis=1, out=permuted[g], mode="clip")
         _bit_transpose(permuted.view(_WORD))
 
         unsliced = permuted.reshape(-1, chunk_bytes, 8).transpose(0, 2, 1)
-        where = np.empty(n_rows, dtype=np.intp)
+        where = np.empty(len(order), dtype=np.intp)
         where[order] = slot
         return unsliced.reshape(-1, chunk_bytes).take(where, axis=0).tobytes()
 

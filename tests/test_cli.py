@@ -206,6 +206,31 @@ def test_output_over_pool_or_trace_is_usage_error(tmp_path, monkeypatch,
     assert sorted(os.listdir(".")) == sorted(before)
 
 
+@pytest.mark.parametrize("link", [os.link, os.symlink], ids=["hard-link", "symlink"])
+def test_output_linked_to_the_trace_is_usage_error(tmp_path, monkeypatch, pool_file, link):
+    # the trace under another name is still the trace
+    monkeypatch.chdir(tmp_path)
+    Path("raw.bin").write_bytes(CounterSource("cli-link").read_bytes(4_096))
+    assert run_cli("whiten", "raw.bin", "w.bin", "--pool", "small.pool",
+                   "--trace", "t.tr", "--source", "det") == 0
+    link("t.tr", "alias.tr")
+    kept = Path("t.tr").read_bytes()
+    assert run_cli("unwhiten", "w.bin", "alias.tr", "--pool", "small.pool",
+                   "--trace", "t.tr") == 2
+    assert Path("t.tr").read_bytes() == kept
+
+
+def test_whiten_in_place_is_allowed(tmp_path, monkeypatch, pool_file):
+    monkeypatch.chdir(tmp_path)
+    raw = CounterSource("cli-in-place").read_bytes(4_096)
+    Path("raw.bin").write_bytes(raw)
+    assert run_cli("whiten", "raw.bin", "raw.bin", "--pool", "small.pool",
+                   "--trace", "t.tr", "--source", "det") == 0
+    assert run_cli("unwhiten", "raw.bin", "back.bin", "--pool", "small.pool",
+                   "--trace", "t.tr") == 0
+    assert Path("back.bin").read_bytes() == raw
+
+
 # --- analyze / compare ---
 
 def test_analyze_cyclic_file(tmp_path, capsys):

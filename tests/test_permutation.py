@@ -142,6 +142,21 @@ def test_rejects_non_bijection():
         IndexPermutation([])
 
 
+@pytest.mark.parametrize("mapping", [
+    [0.5, 1], [1.0, 0.0], np.array([1, 0], dtype=np.float32), [True, False],
+    [-1, 0], [1, 2**32], np.array([2**32 + 1, 0], dtype=np.uint64)])
+def test_rejects_entries_that_are_not_indices(mapping):
+    # no truncation of floats, no bools as 0/1, no wrapping into range
+    with pytest.raises(ValueError):
+        IndexPermutation(mapping)
+
+
+def test_accepts_any_integer_dtype():
+    for dtype in (np.int8, np.uint16, np.int64, np.uint64):
+        p = IndexPermutation(np.array([2, 0, 1], dtype=dtype))
+        assert p.map.dtype == np.uint32 and p.map.tolist() == [2, 0, 1]
+
+
 def test_equality_and_hash():
     a = IndexPermutation(EXAMPLE_MAP)
     b = IndexPermutation(list(EXAMPLE_MAP))

@@ -1,7 +1,8 @@
 """The bit-sliced kernel (chunks of 16 or more bits) against the bit-gather
 kernel it replaced: every 16-bit chunk value through every member of a
-small pool, the ways chunks can fall into groups of 8 rows per member, and
-the memory a block costs."""
+small pool, the ways chunks can fall into groups of 8 rows per member,
+pools past 256 members, and the memory a block costs; and the bit layout
+the transpose gives the planes."""
 
 import io
 import tracemalloc
@@ -11,7 +12,8 @@ import pytest
 
 from permwhite.entropy import CounterSource, SeedFileSource
 from permwhite.permutation import IndexPermutation, MatrixPool, generate_pool
-from permwhite.whitening import WhitenConfig, unwhiten_stream, whiten_stream
+from permwhite.whitening import (_WORD, WhitenConfig, _bit_transpose, unwhiten_stream,
+                                 whiten_stream)
 
 MIB = 1 << 20
 
@@ -110,6 +112,34 @@ def test_members_never_selected(n_qubits):
     pool = random_pool(n_qubits, 8, 100 + n_qubits)
     trace = check_against_gather(data, pool, lambda: scripted(selections))
     assert np.array_equal(trace.indices, selections)
+
+
+@pytest.mark.parametrize("chunk_bytes", [2, 4, 1024])
+def test_transpose_turns_chunk_bit_p_into_plane_byte_p(chunk_bytes):
+    # 40 groups of 8 rows; at 1024 bytes that is more words than one
+    # transpose pass, so the slicing is crossed too
+    rng = np.random.default_rng(chunk_bytes)
+    groups = rng.integers(0, 256, (40, 8, chunk_bytes), dtype=np.uint8)
+    sliced = np.ascontiguousarray(groups.transpose(0, 2, 1))
+    _bit_transpose(sliced.view(_WORD))
+    planes = sliced.reshape(40, chunk_bytes * 8)
+    # plane byte p, MSB first, is chunk bit p of rows 0..7
+    bits = np.unpackbits(groups, axis=-1)
+    assert np.array_equal(np.unpackbits(planes, axis=-1).reshape(40, -1, 8),
+                          bits.transpose(0, 2, 1))
+    _bit_transpose(sliced.view(_WORD))
+    assert np.array_equal(sliced, groups.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("n_qubits", [4, 13])
+def test_pool_over_256_members(n_qubits):
+    # 300 members: each draw reads a two-byte word, and the kernel sorts
+    # two-byte keys
+    data = CounterSource(f"sliced-wide-{n_qubits}").read_bytes(MIB + 1031)
+    pool = random_pool(n_qubits, 300, 300 + n_qubits)
+    trace = check_against_gather(data, pool,
+                                 lambda: CounterSource(f"sliced-wide-sel-{n_qubits}"))
+    assert int(trace.indices.max()) > 255
 
 
 def test_block_memory_stays_near_the_block():
