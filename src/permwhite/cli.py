@@ -168,9 +168,9 @@ def _cmd_whiten(args: argparse.Namespace) -> int:
 
 
 def _cmd_unwhiten(args: argparse.Namespace) -> int:
-    pool = _open_pool(args, writes_trace=False)
     if args.trace is None:
         raise ValueError("unwhiten requires --trace")
+    pool = _open_pool(args, writes_trace=False)
     with open(args.trace, "rb") as fh:
         trace = trace_load(fh)
     with open(args.input, "rb") as src, _atomic_output(args.output) as out:

@@ -73,7 +73,7 @@ class EntropySource:
                 return lo + v
 
     def random_index(self, m: int) -> int:
-        """Uniform index in [0, m-1]; the per-chunk pool-selection draw."""
+        """Uniform index in [0, m-1]; the scalar form of ``random_indices``."""
         if m < 1:
             raise ValueError("m must be >= 1")
         return self.random_int(1, m) - 1
@@ -96,21 +96,21 @@ class EntropySource:
         k = (m - 1).bit_length()
         nbytes = (k + 7) // 8
         mask = (1 << k) - 1
+        # The narrowest dtype that holds a word: uint8, uint16 or uint32.
+        word = np.min_scalar_type(mask).type
+        # The mask cuts only the most significant byte of a word.
+        top = np.uint8(mask >> 8 * (nbytes - 1))
         filled = 0
         while filled < count:
             owed = count - filled
             raw = np.frombuffer(self.read_bytes(nbytes * owed), dtype=np.uint8)
-            if nbytes == 1:
-                values = raw & np.uint8(mask)
-            else:
-                words = raw.reshape(owed, nbytes)
-                # Big-endian words, assembled one byte column at a time
-                # because 3-byte words have no numpy dtype.
-                values = words[:, 0].astype(np.uint32)
-                for j in range(1, nbytes):
-                    values <<= 8
-                    values |= words[:, j]
-                values &= np.uint32(mask)
+            words = raw.reshape(owed, nbytes)
+            # Big-endian words, assembled one byte column at a time
+            # because 3-byte words have no numpy dtype.
+            values = (words[:, 0] & top).astype(word, copy=False)
+            for j in range(1, nbytes):
+                values <<= 8
+                values |= words[:, j]
             # m - 1 fits the word's dtype, where m itself may not (m = 256).
             kept = values[values <= m - 1]
             out[filled:filled + kept.size] = kept

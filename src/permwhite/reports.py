@@ -96,12 +96,9 @@ def parse_report_csv(text: str) -> EntReport:
     rows = {row[0].strip(): row[1].strip()
             for row in table[1:] if len(row) >= 2}
     try:
+        values = {field: float(rows[field]) for _, field, _ in ENT_ROWS}
         report = EntReport(
-            entropy_bits_per_byte=float(rows["entropy_bits_per_byte"]),
-            chi_square=float(rows["chi_square"]),
-            arithmetic_mean=float(rows["arithmetic_mean"]),
-            monte_carlo_pi=float(rows["monte_carlo_pi"]),
-            serial_correlation=float(rows["serial_correlation"]),
+            **values,
             serial_correlation_defined=bool(
                 int(rows.get("serial_correlation_defined", 1))
             ),

@@ -156,15 +156,14 @@ def unwhiten_stream(
 def _transform(input, output, chunk_bits, maps, draw):
     """Shared streaming loop. ``draw(n)`` supplies pool indices per block;
     ``maps`` is an (M, chunk_bits) intp array, ``out[i] = in[maps[m, i]]``.
-    A chunk holds at most 8 KiB, so every full block is whole chunks and
-    only the last block can end in a partial chunk."""
+    ``frame()`` cuts each block into chunks and a tail of whole bytes, copied
+    through; a chunk holds at most 8 KiB, so only the last block has a tail."""
     kernel = _table_kernel if chunk_bits <= 8 else _sliced_kernel
     permute = kernel(maps, chunk_bits)
-    chunk_bytes = max(chunk_bits // 8, 1)
     for block in iter_blocks(input):
-        sel = draw(len(block) * 8 // chunk_bits)
-        full = len(block) - len(block) % chunk_bytes
-        output.write(permute(block[:full], sel) + block[full:])
+        chunks, tail_bits = frame(8 * len(block), chunk_bits)
+        full = len(block) - tail_bits // 8
+        output.write(permute(block[:full], draw(chunks)) + block[full:])
 
 
 def _table_kernel(maps, chunk_bits):

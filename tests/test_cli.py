@@ -137,6 +137,20 @@ def test_unwhiten_requires_trace(tmp_path, pool_file):
     assert rc == 2
 
 
+def test_unwhiten_refuses_missing_trace_before_reading_pool(tmp_path, capsys):
+    pool = tmp_path / "junk.pool"
+    pool.write_bytes(b"not a pool at all, sorry")
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"\x00" * 16)
+    out = tmp_path / "out.bin"
+    rc = run_cli("unwhiten", str(src), str(out), "--pool", str(pool))
+    assert rc == 2
+    assert "requires --trace" in capsys.readouterr().err
+    assert not out.exists()
+    leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".permwhite")]
+    assert leftovers == []
+
+
 def test_failed_run_leaves_no_output(tmp_path, pool_file):
     dst = tmp_path / "out.bin"
     rc = run_cli("whiten", str(tmp_path / "missing.bin"), str(dst),

@@ -160,12 +160,15 @@ def test_random_indices_matches_scalar_power_of_two():
     assert batched.tolist() == scalar
 
 
-# 1-, 1-, 1-, 2-, 3- and 4-byte rejection words
-@pytest.mark.parametrize("m", [3, 5, 33, 300, 65537, (1 << 24) + 3])
+# 1-, 1-, 1-, 2-, 3- and 4-byte rejection words, then the largest span of
+# each word width, which never rejects
+@pytest.mark.parametrize("m", [3, 5, 33, 300, 65537, (1 << 24) + 3,
+                               257, 65536, 1 << 24, 1 << 32])
 def test_random_indices_matches_scalar_general(m):
     batched = CounterSource(f"vec{m}").random_indices(m, 2000)
     scalar_src = CounterSource(f"vec{m}")
     scalar = [scalar_src.random_index(m) for _ in range(2000)]
+    assert batched.dtype == np.uint32
     assert batched.tolist() == scalar
     assert int(batched.max()) < m
 
