@@ -41,3 +41,9 @@ def read_exact(source, n: int, what: str) -> bytes:
     if len(got) != n:
         raise FormatError(f"truncated file while reading {what}")
     return got
+
+
+def read_end(source, what: str) -> None:
+    """Raise FormatError if ``source`` holds any byte after ``what``."""
+    if source.read(1):
+        raise FormatError(f"trailing bytes after {what}")

@@ -27,6 +27,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from ._util import read_end as _read_end
 from ._util import read_exact as _read_exact
 from .entropy import EntropySource
 from .errors import FormatError
@@ -219,4 +220,5 @@ def pool_load(source: BinaryIO) -> MatrixPool:
             perms.append(IndexPermutation(mapping))
         except ValueError as exc:
             raise FormatError(f"record {idx} is corrupt: {exc}") from None
+    _read_end(source, "the last record")
     return MatrixPool(n_qubits=n_qubits, permutations=tuple(perms), generator_tag=tag)

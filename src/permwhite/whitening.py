@@ -25,6 +25,7 @@ from typing import BinaryIO, Optional
 import numpy as np
 
 from ._util import iter_blocks
+from ._util import read_end as _read_end
 from ._util import read_exact as _read_exact
 from .entropy import EntropySource
 from .errors import FormatError
@@ -292,5 +293,6 @@ def trace_load(source: BinaryIO) -> SelectionTrace:
     (crc,) = struct.unpack("<I", _read_exact(source, 4, "trace CRC"))
     if zlib.crc32(payload) != crc:
         raise FormatError("trace CRC mismatch")
+    _read_end(source, "the trace CRC")
     return SelectionTrace(chunk_bits=chunk_bits,
                           indices=np.frombuffer(payload, dtype="<u4"))

@@ -2,6 +2,7 @@
 
 import argparse
 import io
+import json
 import os
 import stat
 import struct
@@ -427,6 +428,49 @@ def test_lying_pool_header_is_format_error(tmp_path, capsys, n_qubits, count):
     assert not out.exists()
 
 
+def _no_output_left(tmp_path, out):
+    leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".permwhite-tmp-")]
+    return not out.exists() and leftovers == []
+
+
+@pytest.mark.parametrize("damage", ["junk appended", "count lowered"])
+def test_pool_with_trailing_bytes_is_format_error(tmp_path, capsys, damage):
+    pool = tmp_path / "p.pool"
+    assert run_cli("gen-pool", str(pool), "--n-qubits", "3", "--count", "5",
+                   "--source", "det", "--key", "cli-trailing") == 0
+    data = bytearray(pool.read_bytes())
+    if damage == "junk appended":
+        data += b"junk"
+    else:
+        # The count is under no CRC: 4 leaves the fifth record trailing.
+        struct.pack_into("<I", data, 8, 4)
+    pool.write_bytes(bytes(data))
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"\x00" * 16)
+    out = tmp_path / "out.bin"
+    rc = run_cli("whiten", str(src), str(out), "--pool", str(pool),
+                 "--source", "det")
+    assert rc == 4
+    assert "trailing bytes" in capsys.readouterr().err
+    assert _no_output_left(tmp_path, out)
+
+
+def test_trace_with_trailing_bytes_is_format_error(tmp_path, pool_file, capsys):
+    src = tmp_path / "in.bin"
+    white = tmp_path / "white.bin"
+    trace = tmp_path / "run.trace"
+    src.write_bytes(CounterSource("cli-trailing").read_bytes(1_000))
+    assert run_cli("whiten", str(src), str(white), "--pool", str(pool_file),
+                   "--trace", str(trace), "--source", "det") == 0
+    trace.write_bytes(trace.read_bytes() + b"junk")
+    out = tmp_path / "out.bin"
+    rc = run_cli("unwhiten", str(white), str(out), "--pool", str(pool_file),
+                 "--trace", str(trace))
+    assert rc == 4
+    assert "trailing bytes" in capsys.readouterr().err
+    assert _no_output_left(tmp_path, out)
+
+
 def test_gen_pool_rejects_cap_above_loadable_size(tmp_path):
     rc = run_cli("gen-pool", str(tmp_path / "big.pool"), "--n-qubits", "17",
                  "--source", "det")
@@ -672,13 +716,18 @@ def test_main_builds_no_parser(tmp_path, monkeypatch):
     assert back.read_bytes() == src.read_bytes()
 
 
-def run_module(*argv):
+def run_python(*argv):
+    """Run a fresh interpreter with this checkout's ``src`` on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "permwhite.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_module(*argv):
+    return run_python("-m", "permwhite.cli", *argv)
 
 
 def test_module_entry_point():
@@ -689,3 +738,46 @@ def test_module_entry_point():
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert "usage:" in done.stderr
+
+
+# Run in a fresh interpreter, because this one has scipy loaded already.
+# Each step reports whether scipy is loaded once it has finished.
+_STARTUP_SCRIPT = """
+import json, sys
+import permwhite
+loaded = {"import permwhite": (0, "scipy" in sys.modules)}
+from permwhite.cli import main
+for argv in json.loads(sys.argv[1]):
+    loaded[argv[0]] = (main(argv), "scipy" in sys.modules)
+sys.stderr.write(json.dumps(loaded))
+"""
+
+
+def test_only_analyze_loads_scipy(tmp_path):
+    f = {name: str(tmp_path / name) for name in (
+        "in.bin", "p.pool", "white.bin", "run.trace", "back.bin", "x.bin",
+        "vn.bin", "r.csv")}
+    (tmp_path / "in.bin").write_bytes(CounterSource("cli-startup").read_bytes(4_096))
+    steps = [
+        ["gen-pool", f["p.pool"], "--n-qubits", "3", "--count", "4",
+         "--source", "det", "--key", "cli-startup"],
+        ["whiten", f["in.bin"], f["white.bin"], "--pool", f["p.pool"],
+         "--trace", f["run.trace"], "--source", "det"],
+        ["unwhiten", f["white.bin"], f["back.bin"], "--pool", f["p.pool"],
+         "--trace", f["run.trace"]],
+        ["compare", f["in.bin"], f["white.bin"]],
+        ["xor", f["in.bin"], f["white.bin"], f["x.bin"]],
+        ["vn", f["in.bin"], f["vn.bin"]],
+        ["analyze", f["white.bin"], "--csv", f["r.csv"]],
+    ]
+    done = run_python("-c", _STARTUP_SCRIPT, json.dumps(steps))
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stderr.splitlines()[-1])
+    expected = {name: [0, name == "analyze"]
+                for name in ["import permwhite"] + [argv[0] for argv in steps]}
+    assert loaded == expected
+    assert Path(f["back.bin"]).read_bytes() == Path(f["in.bin"]).read_bytes()
+
+    here = tmp_path / "here.csv"
+    assert run_cli("analyze", f["white.bin"], "--csv", str(here)) == 0
+    assert here.read_bytes() == Path(f["r.csv"]).read_bytes()
