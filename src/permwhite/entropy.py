@@ -25,6 +25,11 @@ bit length of ``s - 1``, interprets them big-endian, masks to the low ``k``
 bits, and rejects values ``>= s``. Power-of-two spans never reject, so their
 byte consumption is exactly ``ceil(k/8)`` per draw. A degenerate span
 (``lo == hi``) consumes nothing.
+
+``random_indices`` batches the draws that share one span: the selection
+draws of whitening and the swap targets of a fullrange shuffle. A subclass
+that overrides ``random_int`` (to script its integers, say) gets those
+batched draws through its own ``random_int``, one at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ from .errors import EntropyExhausted
 
 _BLOCK_BYTES = 8192
 _COUNTER_LIMIT = 1 << 64    # the counter is encoded in 8 bytes
+# Indexed by word width in bytes: the narrowest dtype that holds a word.
+_WORD_TYPES = (None, np.uint8, np.uint16, np.uint32, np.uint32)
 
 
 class EntropySource:
@@ -85,37 +92,44 @@ class EntropySource:
         words below ``m``. Every owed draw needs at least one more word, so
         the draws consume exactly the bytes, in the same order, that
         ``count`` scalar calls would, and return the same values.
+
+        A subclass that overrides ``random_int`` gets the draws through it
+        instead, as ``count`` calls of ``random_int(1, m) - 1``.
         """
         if not 1 <= m <= 1 << 32:
             raise ValueError("m must be in [1, 2**32]")
         if count < 0:
             raise ValueError("count must be >= 0")
-        out = np.zeros(count, dtype=np.uint32)
-        if m == 1:
-            return out
+        if type(self).random_int is not EntropySource.random_int:
+            return np.array([self.random_int(1, m) - 1 for _ in range(count)], dtype=np.uint32)
+        if m == 1 or count == 0:
+            return np.zeros(count, dtype=np.uint32)
         k = (m - 1).bit_length()
         nbytes = (k + 7) // 8
         mask = (1 << k) - 1
-        # The narrowest dtype that holds a word: uint8, uint16 or uint32.
-        word = np.min_scalar_type(mask).type
+        word = _WORD_TYPES[nbytes]
         # The mask cuts only the most significant byte of a word.
-        top = np.uint8(mask >> 8 * (nbytes - 1))
-        filled = 0
-        while filled < count:
-            owed = count - filled
-            raw = np.frombuffer(self.read_bytes(nbytes * owed), dtype=np.uint8)
-            words = raw.reshape(owed, nbytes)
+        top = mask >> 8 * (nbytes - 1)
+        parts = []
+        owed = count
+        while owed:
+            # The dtype goes by position: by keyword the call costs twice as much.
+            raw = np.frombuffer(self.read_bytes(nbytes * owed), np.uint8)
             # Big-endian words, assembled one byte column at a time
-            # because 3-byte words have no numpy dtype.
-            values = (words[:, 0] & top).astype(word, copy=False)
+            # (column j is raw[j::nbytes]) because 3-byte words have no
+            # numpy dtype.
+            values = (raw[::nbytes] & top).astype(word, copy=False)
             for j in range(1, nbytes):
                 values <<= 8
-                values |= words[:, j]
-            # m - 1 fits the word's dtype, where m itself may not (m = 256).
-            kept = values[values <= m - 1]
-            out[filled:filled + kept.size] = kept
-            filled += kept.size
-        return out
+                values |= raw[j::nbytes]
+            # A power-of-two span never rejects; any other m fits the word's
+            # dtype, where m = 256 would not.
+            kept = values[values < m] if m & (m - 1) else values
+            parts.append(kept)
+            owed -= kept.size
+        if len(parts) == 1:
+            return kept.astype(np.uint32)
+        return np.concatenate(parts, dtype=np.uint32)
 
 
 class OsEntropy(EntropySource):

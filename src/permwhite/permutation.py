@@ -98,14 +98,15 @@ class IndexPermutation:
 def generate_fullrange_shuffle(n_qubits: int, rng: EntropySource) -> IndexPermutation:
     """Full-range swap shuffle over N = 2**n_qubits positions.
 
-    Draws one integer K[i] uniform on [1, N] per position (in increasing i),
-    then sweeps i from N down to 1 swapping S[K[i]] with S[i].
+    Draws one integer K[i] uniform on [1, N] per position (in increasing i,
+    all N in one batch), then sweeps i from N down to 1 swapping S[K[i]]
+    with S[i].
     """
     n = _checked_size(n_qubits)
-    k = [rng.random_int(1, n) for _ in range(n)]
+    k = rng.random_indices(n, n).tolist()
     s = list(range(n))
     for i in range(n - 1, -1, -1):
-        p = k[i] - 1
+        p = k[i]
         s[p], s[i] = s[i], s[p]
     return IndexPermutation(s)
 

@@ -15,10 +15,11 @@ import pytest
 
 from permwhite import cli
 from permwhite.cli import main
-from permwhite.entropy import CounterSource
+from permwhite.entropy import CounterSource, SeedFileSource
 from permwhite.permutation import (
     IndexPermutation,
     MatrixPool,
+    generate_pool,
     pool_load,
     pool_save,
 )
@@ -75,6 +76,32 @@ def test_gen_pool_exhausted_seed(tmp_path):
     rc = run_cli("gen-pool", str(tmp_path / "x.pool"), "--n-qubits", "2",
                  "--count", "1", "--source", "seed", "--seed-file", str(seed))
     assert rc == 3
+
+
+# n=4 has 16 positions, so two fullrange permutations take 32 one-byte draws
+def test_gen_pool_seed_file_of_exact_length(tmp_path):
+    seed = tmp_path / "seed.bin"
+    seed.write_bytes(CounterSource("gen-pool-seed").read_bytes(32))
+    out = tmp_path / "x.pool"
+    rc = run_cli("gen-pool", str(out), "--n-qubits", "4", "--count", "2",
+                 "--source", "seed", "--seed-file", str(seed))
+    assert rc == 0
+    expected = io.BytesIO()
+    with SeedFileSource(str(seed)) as rng:
+        pool_save(generate_pool(4, 2, rng), expected)
+    assert out.read_bytes() == expected.getvalue()
+
+
+def test_gen_pool_seed_file_one_byte_short(tmp_path, capsys):
+    seed = tmp_path / "seed.bin"
+    seed.write_bytes(CounterSource("gen-pool-seed").read_bytes(31))
+    out = tmp_path / "x.pool"
+    rc = run_cli("gen-pool", str(out), "--n-qubits", "4", "--count", "2",
+                 "--source", "seed", "--seed-file", str(seed))
+    assert rc == 3
+    assert "exhausted at offset 31" in capsys.readouterr().err
+    assert not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".permwhite-tmp-")]
 
 
 # --- whiten / unwhiten ---

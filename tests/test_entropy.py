@@ -203,6 +203,57 @@ def test_random_indices_one_byte_words(m):
     assert batched.tolist() == [scalar_src.random_index(m) for _ in range(20_000)]
     assert batched_src.offset == scalar_src.offset
 
+
+class ScriptedInts(EntropySource):
+    """Scripts its integers through ``random_int`` and reads no bytes."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.calls = []
+
+    def read_bytes(self, n):
+        raise AssertionError("a source with scripted integers reads no bytes")
+
+    def random_int(self, lo, hi):
+        self.calls.append((lo, hi))
+        return self.values.pop(0)
+
+
+@pytest.mark.parametrize("m, script", [(5, [3, 1, 5, 5, 2]), (1, [1, 1])])
+def test_random_indices_through_overridden_random_int(m, script):
+    src = ScriptedInts(script)
+    out = src.random_indices(m, len(script))
+    assert out.dtype == np.uint32
+    assert out.tolist() == [v - 1 for v in script]
+    assert src.calls == [(1, m)] * len(script)
+
+
+class RecordingSource(CountingSource):
+    """Overrides only ``read_bytes``, and records each request."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.requests = []
+
+    def read_bytes(self, n):
+        self.requests.append(n)
+        return super().read_bytes(n)
+
+
+def test_random_indices_reads_once_per_rejection_round():
+    data = CounterSource("rounds").read_bytes(4000)
+    src = RecordingSource(data)
+    src.random_indices(5, 1000)
+    # each round reads one 3-bit word, in one byte, for every draw still owed
+    owed, pos, rounds = 1000, 0, []
+    while owed:
+        rounds.append(owed)
+        owed -= sum((b & 7) < 5 for b in data[pos:pos + owed])
+        pos += rounds[-1]
+    assert src.requests == rounds
+    assert 1 < len(rounds) < 40
+
+
 def test_random_indices_empty():
     assert CounterSource("e").random_indices(8, 0).size == 0
 

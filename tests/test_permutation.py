@@ -1,17 +1,21 @@
 """Permutation representation, the two shuffle modes, and their algebra."""
 
+import hashlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permwhite.entropy import CounterSource, EntropySource
+from permwhite.entropy import CounterSource, EntropySource, SeedFileSource
 from permwhite.permutation import (
     IndexPermutation,
     MatrixPool,
     generate_fullrange_shuffle,
     generate_pool,
     generate_unbiased_shuffle,
+    pool_save,
 )
 
 # The 4x4 example: output positions 0..3 take input bits 0,2,3,1.
@@ -193,6 +197,53 @@ def test_fullrange_identity_returning_rng():
 
     p = generate_fullrange_shuffle(3, Reflect())
     assert p.is_identity()
+
+
+def scalar_fullrange_map(n_qubits, rng):
+    """Oracle: the fullrange shuffle from N scalar ``random_int(1, N)`` draws."""
+    n = 1 << n_qubits
+    k = [rng.random_int(1, n) for _ in range(n)]
+    s = list(range(n))
+    for i in range(n - 1, -1, -1):
+        p = k[i] - 1
+        s[p], s[i] = s[i], s[p]
+    return s
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 8, 13, 16])
+def test_fullrange_batched_draws_match_scalar_oracle(n_qubits):
+    key = f"fullrange-oracle-{n_qubits}"
+    batched, scalar = CounterSource(key), CounterSource(key)
+    assert (generate_fullrange_shuffle(n_qubits, batched).map.tolist()
+            == scalar_fullrange_map(n_qubits, scalar))
+    # both consumed the same bytes, so the streams go on alike
+    assert batched.read_bytes(64) == scalar.read_bytes(64)
+
+    seed = CounterSource(key).read_bytes(3 << n_qubits)
+    batched, scalar = SeedFileSource(io.BytesIO(seed)), SeedFileSource(io.BytesIO(seed))
+    assert (generate_fullrange_shuffle(n_qubits, batched).map.tolist()
+            == scalar_fullrange_map(n_qubits, scalar))
+    assert batched.offset == scalar.offset
+
+
+# SHA-256 of pool_save(generate_pool(n, 4, CounterSource(f"pool-pin-{n}"),
+# mode=mode)), frozen from N scalar random_int draws per fullrange member.
+POOL_DIGESTS = {
+    ("fullrange", 2): "2b7b6a2983a155c97a1af6fe6c13d2e14512f655937966c9449294c66c9d123f",
+    ("fullrange", 3): "0ebbb342b39cc1159488388e733b539b60cc32aa5057e4d1972d7fb02984c0bb",
+    ("fullrange", 13): "1e3da3e9315bf7354527d422e9f1cd28e7cbfabbecfb472511cb0a3706507029",
+    ("fullrange", 16): "0a3642a0ff4c85be7dde7691e70e13f1c2876fab04595d3588c0dfb47d792e49",
+    ("unbiased", 3): "a236869ebc53248a6194325839c15a97f014e3eefab1141d0090340583b75404",
+    ("unbiased", 8): "7a4469208bcbc39db1c22b58cb7788ac575e3852fc4c29f0f6d50375c5445cb6",
+}
+
+
+@pytest.mark.parametrize("mode, n_qubits", sorted(POOL_DIGESTS))
+def test_pinned_pool_digests(mode, n_qubits):
+    pool = generate_pool(n_qubits, 4, CounterSource(f"pool-pin-{n_qubits}"), mode=mode)
+    buf = io.BytesIO()
+    pool_save(pool, buf)
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == POOL_DIGESTS[mode, n_qubits]
 
 
 def test_unbiased_min_source_is_identity():
