@@ -9,9 +9,10 @@ frequency, block frequency with 128-bit blocks, runs, and cumulative sums
 in both directions.
 
 Everything is computed in one streaming pass with bounded memory, using
-exact integer accumulators wherever possible. ``analyze`` feeds both
-batteries from a single read; the bit battery works on whole bytes through
-256-entry tables and never expands a byte into bits.
+exact integer accumulators wherever possible. The Monte Carlo comparison
+is made in float64, which is exact for 24-bit coordinates. ``analyze`` feeds
+both batteries from a single read; the bit battery works on whole bytes
+through 256-entry tables and never expands a byte into bits.
 """
 
 from __future__ import annotations
@@ -113,33 +114,32 @@ class _ByteStats:
     def __init__(self):
         self.counts = np.zeros(256, dtype=np.int64)
         self.n = 0
-        self.first = None
-        self.last = None
+        self.first = b""            # first byte of the stream
+        self.last = b""             # last byte of the previous block
         self.cross_sum = 0          # sum of x_i * x_{i+1}, non-circular part
         self.mc_carry = b""
         self.mc_inside = 0
         self.mc_points = 0
 
     def update(self, block: bytes, counts: np.ndarray) -> None:
-        arr = np.frombuffer(block, dtype=np.uint8)
-        wide = arr.astype(np.int64)
+        # Each carry (self.last, self.mc_carry) is prepended to the block,
+        # then refilled with what the next block needs. einsum sums the uint8
+        # products in int64 without a widened copy of the block.
         self.counts += counts
-        if self.first is None:
-            self.first = int(arr[0])
-        else:
-            self.cross_sum += self.last * int(arr[0])
-        self.cross_sum += int(wide[:-1] @ wide[1:])
-        self.last = int(arr[-1])
-        self.n += arr.size
+        self.n += len(block)
+        self.first = self.first or block[:1]
+        a = np.frombuffer(self.last + block, np.uint8)
+        self.cross_sum += int(np.einsum("i,i", a[:-1], a[1:], dtype=np.int64))
+        self.last = block[-1:]
 
         data = self.mc_carry + block
         usable = len(data) - len(data) % 6
-        if usable:
-            g = np.frombuffer(data, dtype=np.uint8, count=usable).reshape(-1, 6).astype(np.int64)
-            x = g[:, 0] * 65536 + g[:, 1] * 256 + g[:, 2]
-            y = g[:, 3] * 65536 + g[:, 4] * 256 + g[:, 5]
-            self.mc_inside += int(np.count_nonzero(x * x + y * y <= _MC_RADIUS_SQ))
-            self.mc_points += g.shape[0]
+        g = np.frombuffer(data, np.uint8, count=usable).reshape(-1, 6)
+        # float64 holds X^2 + Y^2 < 2^49 exactly.
+        x = g[:, 0] * 65536.0 + g[:, 1] * 256.0 + g[:, 2]
+        y = g[:, 3] * 65536.0 + g[:, 4] * 256.0 + g[:, 5]
+        self.mc_inside += int(np.count_nonzero(x * x + y * y <= _MC_RADIUS_SQ))
+        self.mc_points += len(g)
         self.mc_carry = data[usable:]
 
     def entropy(self) -> float:
@@ -166,7 +166,7 @@ class _ByteStats:
         values = np.arange(256, dtype=np.int64)
         sum_x = int(self.counts @ values)
         sum_x2 = int(self.counts @ (values * values))
-        sum_xy = self.cross_sum + self.last * self.first   # wrap last -> first
+        sum_xy = self.cross_sum + self.last[0] * self.first[0]   # wrap last -> first
         num = self.n * sum_xy - sum_x * sum_x
         den = self.n * sum_x2 - sum_x * sum_x
         if den == 0:
@@ -203,7 +203,7 @@ class _BitStats:
         self.n = 0               # bits
         self.ones = 0
         self.transitions = 0
-        self.last = None         # final byte of the previous block
+        self.last = b""          # final byte of the previous block
         self.bf_anchor = 0       # S_k at the end of the last full 128-bit block
         self.bf_sum_sq = 0       # sum over blocks of (ones_in_block - 64)^2
         self.bf_blocks = 0
@@ -213,34 +213,34 @@ class _BitStats:
         self._walk = np.empty(0, dtype=np.int32)
 
     def update(self, block: bytes, counts: np.ndarray) -> None:
-        arr = np.frombuffer(block, dtype=np.uint8)
+        size = len(block)
         offset = self.n // 8
-        self.n += 8 * arr.size
+        self.n += 8 * size
         self.ones += int(counts @ POPCOUNT)
         # Runs: transitions inside each byte, then between adjacent bytes
-        # (low bit of one against the high bit of the next).
+        # (low bit of one against the high bit of the next), the previous
+        # block's last byte prepended.
         self.transitions += int(counts @ INTRA)
-        self.transitions += int(np.count_nonzero((arr[:-1] & 1) != (arr[1:] >> 7)))
-        if self.last is not None:
-            self.transitions += (self.last & 1) != (block[0] >> 7)
-        self.last = block[-1]
+        a = np.frombuffer(self.last + block, np.uint8)
+        self.transitions += int(np.count_nonzero((a[:-1] & 1) != (a[1:] >> 7)))
+        self.last = block[-1:]
 
         # walk[j] = S at the end of byte j, relative to self.running. int32
         # is exact: a block holds at most BLOCK_BYTES = 2^20 bytes, so
         # |walk| <= 2^23.
-        if self._walk.size < arr.size:
-            self._walk = np.empty(arr.size, dtype=np.int32)
-        walk = self._walk[:arr.size]
+        if self._walk.size < size:
+            self._walk = np.empty(size, dtype=np.int32)
+        walk = self._walk[:size]
         np.cumsum(np.frombuffer(block.translate(_STEP_T), dtype=np.int8),
                   dtype=np.int32, out=walk)
 
         # Block frequency: ends is S at each 128-bit block boundary this
         # read reaches. A block over which S rises by d holds (128 + d) / 2
         # ones, so (ones - 64)^2 = d^2 / 4; a partial last block is dropped.
-        ends =walk[(-offset - 1) % _BLOCK_FREQ_BYTES::_BLOCK_FREQ_BYTES]
+        ends = walk[(-offset - 1) % _BLOCK_FREQ_BYTES::_BLOCK_FREQ_BYTES]
         if ends.size:
-            d = np.diff(ends, prepend=self.bf_anchor - self.running).astype(np.int64)
-            self.bf_sum_sq += int(d @ d) // 4
+            d = np.diff(ends, prepend=self.bf_anchor - self.running)
+            self.bf_sum_sq += int(np.einsum("i,i", d, d, dtype=np.int64)) // 4
             self.bf_blocks += d.size
             self.bf_anchor = self.running + int(ends[-1])
 
@@ -368,8 +368,6 @@ def _cusum_pvalue(z: int, n: int) -> float:
 
     def phi_sum(k_lo: int, k_hi: int, a: int, b: int) -> float:
         k = np.arange(max(k_lo, -window), min(k_hi, window) + 1, dtype=np.float64)
-        if k.size == 0:
-            return 0.0
         return float(
             (ndtr((4 * k + a) * z / sqrt_n) - ndtr((4 * k + b) * z / sqrt_n)).sum()
         )
