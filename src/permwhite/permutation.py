@@ -187,7 +187,8 @@ def pool_save(pool: MatrixPool, sink: BinaryIO) -> None:
                                  pool.count, len(tag)))
     sink.write(tag)
     for perm in pool.permutations:
-        rec = perm.map.astype("<u4").tobytes()
+        # No copy for the native little-endian uint32 maps pools hold.
+        rec = np.ascontiguousarray(perm.map, dtype="<u4")
         sink.write(rec)
         sink.write(struct.pack("<I", zlib.crc32(rec)))
 

@@ -94,7 +94,6 @@ def whiten_stream(
             f"config expects {cfg.pool_count}"
         )
 
-    maps = np.array([p.map for p in pool.permutations], dtype=np.intp)
     # One growing buffer, viewed as the trace at the end without a copy.
     recorded = bytearray() if cfg.record_selections else None
 
@@ -104,7 +103,7 @@ def whiten_stream(
             recorded.extend(np.ascontiguousarray(sel, dtype="<u4"))
         return sel
 
-    _transform(input, output, pool.size, maps, draw)
+    _transform(input, output, pool.size, [p.map for p in pool.permutations], draw)
 
     if recorded is None:
         return None
@@ -130,10 +129,6 @@ def unwhiten_stream(
             f"trace selects index {int(trace.indices.max())} "
             f"but the pool holds only {pool.count} permutations"
         )
-    # Pool members are validated bijections, so invert them directly.
-    maps = np.array([p.map for p in pool.permutations], dtype=np.intp)
-    inverse_maps = np.empty_like(maps)
-    np.put_along_axis(inverse_maps, maps, np.arange(pool.size), axis=1)
     consumed = 0
 
     def draw(n_chunks: int) -> np.ndarray:
@@ -147,7 +142,8 @@ def unwhiten_stream(
         consumed += n_chunks
         return sel
 
-    _transform(input, output, pool.size, inverse_maps, draw)
+    _transform(input, output, pool.size,
+               [p.invert().map for p in pool.permutations], draw)
     if consumed != trace.indices.size:
         raise ValueError(
             f"trace too long: {trace.indices.size} entries for {consumed} chunks"
@@ -156,7 +152,7 @@ def unwhiten_stream(
 
 def _transform(input, output, chunk_bits, maps, draw):
     """Shared streaming loop. ``draw(n)`` supplies pool indices per block;
-    ``maps`` is an (M, chunk_bits) intp array, ``out[i] = in[maps[m, i]]``.
+    ``maps`` holds one index map per pool member, ``out[i] = in[maps[m][i]]``.
     ``frame()`` cuts each block into chunks and a tail of whole bytes, copied
     through; a chunk holds at most 8 KiB, so only the last block has a tail."""
     kernel = _table_kernel if chunk_bits <= 8 else _sliced_kernel
@@ -173,10 +169,11 @@ def _table_kernel(maps, chunk_bits):
     value. The tables are stored flat, member m at ``m << N``."""
     top = chunk_bits - 1
     values = np.arange(1 << chunk_bits, dtype=np.uint8)
+    columns = np.stack(maps)
     tables = np.zeros((len(maps), 1 << chunk_bits), dtype=np.uint8)
     for i in range(chunk_bits):
-        # Output bit i (bit 0 is the chunk's most significant) is input bit maps[:, i].
-        src_shift = (top - maps[:, i]).astype(np.uint8)[:, None]
+        # Output bit i (bit 0 is the chunk's most significant) is input bit columns[:, i].
+        src_shift = (top - columns[:, i]).astype(np.uint8)[:, None]
         tables |= ((values >> src_shift) & 1) << np.uint8(top - i)
     tables = tables.ravel()
     mask = (1 << chunk_bits) - 1
@@ -253,7 +250,8 @@ def _sliced_kernel(maps, chunk_bits):
         sliced = np.ascontiguousarray(grouped.transpose(0, 2, 1))
         _bit_transpose(sliced.view(_WORD))
         planes = sliced.reshape(-1, chunk_bits)
-        permuted = np.empty_like(planes)
+        # grouped is dead once sliced is copied out of it; reuse its buffer.
+        permuted = grouped.reshape(-1, chunk_bits)
         for m in np.flatnonzero(counts):
             g = slice(first[m], first[m] + groups[m])
             # The maps are in range; "clip" lets take write straight into out.

@@ -1,8 +1,8 @@
 """The bit-sliced kernel (chunks of 16 or more bits) against the bit-gather
 kernel it replaced: every 16-bit chunk value through every member of a
 small pool, the ways chunks can fall into groups of 8 rows per member,
-pools past 256 members, and the memory a block costs; and the bit layout
-the transpose gives the planes."""
+pools past 256 members, and the memory a block and the pool's maps cost;
+and the bit layout the transpose gives the planes."""
 
 import io
 import tracemalloc
@@ -156,3 +156,30 @@ def test_block_memory_stays_near_the_block():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * MIB
+
+
+def test_pool_maps_are_not_copied_per_run():
+    # n=16, M=300: the maps take 75 MiB. Whitening reads each member's map
+    # in place, and unwhitening holds one inverse map per member, so
+    # neither peak grows by a stack of the whole pool widened to intp.
+    pool = random_pool(16, 300, 16)
+    data = CounterSource("pool-copy-in").read_bytes(MIB)
+    cfg = WhitenConfig(n_qubits=16, pool_count=300, record_selections=True)
+    maps_bytes = sum(p.map.nbytes for p in pool.permutations)
+    out = io.BytesIO()
+    tracemalloc.start()
+    try:
+        trace = whiten_stream(io.BytesIO(data), pool, cfg, CounterSource("pool-copy-sel"),
+                              out)
+        whiten_peak = tracemalloc.get_traced_memory()[1]
+        whitened = io.BytesIO(out.getvalue())
+        back = io.BytesIO()
+        tracemalloc.reset_peak()
+        unwhiten_stream(whitened, pool, trace, back)
+        unwhiten_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.getvalue() == data
+    assert maps_bytes == 75 * MIB
+    assert whiten_peak <= 40 * MIB
+    assert unwhiten_peak <= maps_bytes + 40 * MIB
