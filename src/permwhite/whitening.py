@@ -8,15 +8,22 @@ thread: each block's selections are drawn in chunk-ordinal order, then the
 block is permuted and written. The ``workers`` keyword of ``whiten_stream``
 and ``unwhiten_stream`` is accepted for compatibility and ignored.
 
-Two kernels permute a block's chunks. Chunks of at most 8 bits go through
-one 2^N-entry table per pool member. Larger chunks are bit-sliced: grouped
-8 at a time per member, an 8x8 bit transpose turns bit p of the 8 chunks
-into byte p, the member's own map then moves bytes instead of bits, and
-the same transpose turns the bytes back into chunks.
+Two kernels permute a block's chunks, and each returns the block as one
+1-D uint8 array that is written as it is. Chunks of at most 8 bits go
+through one 2^N-entry table per pool member. Larger chunks are bit-sliced:
+the chunks that selected one member are stacked in groups of 8 rows, and an
+8x8 bit transpose across each group's rows, in place, gathers bit p of the
+8 chunks into one byte, the group's plane ``P(p) = (p & 7) * B + (p >> 3)``
+for chunks of B bytes. The member's map carried into plane order,
+``P . map . P^-1``, then moves bytes instead of bits, and the same transpose
+turns the planes back into rows. Each member's plane-order map is built
+from its own map (its inverse when unwhitening) the first time a block
+selects it.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -103,7 +110,7 @@ def whiten_stream(
             recorded.extend(np.ascontiguousarray(sel, dtype="<u4"))
         return sel
 
-    _transform(input, output, pool.size, [p.map for p in pool.permutations], draw)
+    _transform(input, output, pool, lambda m: pool.permutations[m].map, draw)
 
     if recorded is None:
         return None
@@ -142,35 +149,38 @@ def unwhiten_stream(
         consumed += n_chunks
         return sel
 
-    _transform(input, output, pool.size,
-               [p.invert().map for p in pool.permutations], draw)
+    _transform(input, output, pool, lambda m: pool.permutations[m].invert().map,
+               draw)
     if consumed != trace.indices.size:
         raise ValueError(
             f"trace too long: {trace.indices.size} entries for {consumed} chunks"
         )
 
 
-def _transform(input, output, chunk_bits, maps, draw):
+def _transform(input, output, pool, member_map, draw):
     """Shared streaming loop. ``draw(n)`` supplies pool indices per block;
-    ``maps`` holds one index map per pool member, ``out[i] = in[maps[m][i]]``.
-    ``frame()`` cuts each block into chunks and a tail of whole bytes, copied
-    through; a chunk holds at most 8 KiB, so only the last block has a tail."""
-    kernel = _table_kernel if chunk_bits <= 8 else _sliced_kernel
-    permute = kernel(maps, chunk_bits)
+    ``member_map(m)`` is member m's index map, ``out[i] = in[map[i]]``, asked
+    for only when a kernel first needs it. ``frame()`` cuts each block into
+    chunks and a tail of whole bytes, copied through; a chunk holds at most
+    8 KiB, so only the last block has a tail."""
+    kernel = _table_kernel if pool.size <= 8 else _sliced_kernel
+    permute = kernel(pool.count, member_map, pool.size)
     for block in iter_blocks(input):
-        chunks, tail_bits = frame(8 * len(block), chunk_bits)
+        chunks, tail_bits = frame(8 * len(block), pool.size)
         full = len(block) - tail_bits // 8
-        output.write(permute(block[:full], draw(chunks)) + block[full:])
+        output.write(permute(block[:full], draw(chunks)))
+        if full < len(block):
+            output.write(block[full:])
 
 
-def _table_kernel(maps, chunk_bits):
+def _table_kernel(count, member_map, chunk_bits):
     """Chunks of at most 8 bits: each byte holds 8/N whole chunks, and one
     2^N-entry table per pool member maps a chunk value to its permuted
     value. The tables are stored flat, member m at ``m << N``."""
     top = chunk_bits - 1
     values = np.arange(1 << chunk_bits, dtype=np.uint8)
-    columns = np.stack(maps)
-    tables = np.zeros((len(maps), 1 << chunk_bits), dtype=np.uint8)
+    columns = np.stack([member_map(m) for m in range(count)])
+    tables = np.zeros((count, 1 << chunk_bits), dtype=np.uint8)
     for i in range(chunk_bits):
         # Output bit i (bit 0 is the chunk's most significant) is input bit columns[:, i].
         src_shift = (top - columns[:, i]).astype(np.uint8)[:, None]
@@ -179,89 +189,168 @@ def _table_kernel(maps, chunk_bits):
     mask = (1 << chunk_bits) - 1
     per_byte = 8 // chunk_bits
 
-    def process(buf: bytes, sel: np.ndarray) -> bytes:
+    def process(buf: bytes, sel: np.ndarray) -> np.ndarray:
         data = np.frombuffer(buf, dtype=np.uint8)
         out = np.zeros_like(data)
         for j in range(per_byte):
             shift = 8 - chunk_bits * (j + 1)
             idx = (sel[j::per_byte].astype(np.intp) << chunk_bits) | ((data >> shift) & mask)
             out |= tables.take(idx) << shift
-        return out.tobytes()
+        return out
 
     return process
 
 
-# Warren, Hacker's Delight, 7-3: transpose the 8x8 bit matrix held in a
-# little-endian uint64 by three masked shift/xor rounds. Row r is byte r and
-# column c its bit c from the most significant, which in the uint64's own bit
-# numbering is the anti-diagonal transpose: byte c of the result holds column
-# c of every row, row r as its bit r, MSB first. It is its own inverse.
+# Warren, Hacker's Delight, 7-3: transpose an 8x8 bit matrix by three rounds
+# of masked shift/xor. Take row r as a byte and column c as its bit c from
+# the most significant. The round of distance d (4, 2, 1) swaps row r,
+# column c with row r + d, column c - d wherever r lacks bit d and c has it:
+# byte mask 0x0F, 0x33, 0x55 in the least-significant-first numbering of
+# the bits. After the three rounds row k holds column k of every row, row r
+# as its bit r, so the transpose is its own inverse. Rows d apart that share
+# a little-endian uint64 swap by one shift inside each word; rows in
+# different words swap by the same bit shift between the two words.
 _WORD = np.dtype("<u8")
-_TRANSPOSE_ROUNDS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
-    (9, 0x0055005500550055), (18, 0x0000333300003333), (36, 0x000000000F0F0F0F)))
+_ROUNDS = ((4, 0x0F), (2, 0x33), (1, 0x55))
+_LANES = 0x0101010101010101  # times a byte mask: that mask in every byte
 
-# Words per pass of the transpose: its 18 array operations then run on
-# 256 KiB that stays in cache, not on a whole (padded) block.
+# Words per pass of the transpose: its array operations then run on 256 KiB
+# that stays in cache, not on a whole (padded) block. A pass holds whole
+# groups, since a group of 8 rows of at most 8 KiB is at most 8192 words.
 _TRANSPOSE_SLICE = 1 << 15
+# Length of a periodic mask: a multiple of every period 2k, k at most 4096.
+_MASK_WORDS = 1 << 13
 
 
-def _bit_transpose(words: np.ndarray) -> None:
-    """Transpose the 8x8 bit matrix in every uint64 of contiguous ``words``,
-    in place."""
+# Cached per row size: a run uses one, and chunks of 2^4..2^16 bits have 13.
+@functools.lru_cache(maxsize=None)
+def _transpose_rounds(row_bytes: int) -> tuple:
+    """The three rounds for rows of ``row_bytes`` bytes, as (word distance
+    k, shift, mask). When rows d apart share a word, k is 0, the shift also
+    moves row r's bytes onto row r + d's, and the mask is the byte mask on
+    the lower row's bytes. Otherwise word i pairs with word i + k, and the
+    mask is ``_MASK_WORDS`` words of period 2k, read-only: the byte mask in
+    every byte of a lower row's words, 0 in an upper row's. One pass over
+    every word with it beats numpy's strided views of the paired rows,
+    whose runs are short."""
+    rounds = []
+    for d, byte_mask in _ROUNDS:
+        span = d * row_bytes  # bytes from row r to row r + d
+        if span < 8:
+            low = sum(byte_mask << 8 * b for b in range(8) if not (b // row_bytes) & d)
+            rounds.append((0, np.uint64(8 * span + d), np.uint64(low)))
+        else:
+            k = span // 8
+            period = np.repeat(np.array([byte_mask * _LANES, 0], dtype=_WORD), k)
+            mask = np.tile(period, _MASK_WORDS // (2 * k))
+            mask.setflags(write=False)
+            rounds.append((k, np.uint64(d), mask))
+    return tuple(rounds)
+
+
+def _and_periodic(t: np.ndarray, mask: np.ndarray) -> None:
+    """``t[i] &= mask[i % mask.size]``, in place, for contiguous ``t``."""
+    whole = t.size - t.size % mask.size
+    periods = t[:whole].reshape(-1, mask.size)
+    periods &= mask
+    t[whole:] &= mask[:t.size - whole]
+
+
+def _bit_transpose(words: np.ndarray, row_bytes: int = 1) -> None:
+    """Transpose, in place, the bit matrices of contiguous ``words`` that
+    hold whole groups of 8 rows of ``row_bytes`` bytes; byte j of a group's
+    8 rows is one matrix. Afterwards row k, byte j holds bit 8j + k of the
+    group's 8 rows, row r as its bit r, MSB first."""
     words = words.reshape(-1)
-    scratch = np.empty(min(words.size, _TRANSPOSE_SLICE), dtype=words.dtype)
+    scratch = np.empty(min(words.size, _TRANSPOSE_SLICE), dtype=_WORD)
+    rounds = _transpose_rounds(row_bytes)
     for start in range(0, words.size, _TRANSPOSE_SLICE):
         w = words[start:start + _TRANSPOSE_SLICE]
-        t = scratch[:w.size]
-        for shift, mask in _TRANSPOSE_ROUNDS:
-            np.right_shift(w, shift, out=t)
-            t ^= w
-            t &= mask
-            w ^= t
+        for k, shift, mask in rounds:
+            lo, hi = w[:w.size - k], w[k:]
+            t = scratch[:lo.size]
+            np.right_shift(hi, shift, out=t)
+            t ^= lo
+            if k:
+                _and_periodic(t, mask)
+            else:
+                t &= mask
+            lo ^= t
             t <<= shift
-            w ^= t
+            hi ^= t
 
 
-def _sliced_kernel(maps, chunk_bits):
-    """Chunks of 16 or more bits, bit-sliced (Biham, FSE 1997): the chunks
-    that selected one member are stacked in groups of 8, and an 8x8 bit
-    transpose of byte j of the 8 chunks makes byte p of the result hold
-    chunk bit 8j + p of all 8 of them. Permuting a chunk's bits is then
-    permuting the group's bytes through the member's own map, one ``take``
-    per member, and a second transpose turns the bytes back into chunks."""
+def _plane_map(bit_map: np.ndarray) -> np.ndarray:
+    """``bit_map`` (``out[i] = in[bit_map[i]]`` over chunk bits) carried into
+    plane order, ``P . bit_map . P^-1``. Every plane index is below 2^16,
+    since N <= 2^16, so uint16 holds them."""
+    chunk_bytes = bit_map.size // 8
+    # bit[k, j] = bit_map[8j + k], the source of plane P(8j + k) = k * B + j.
+    bit = bit_map.reshape(chunk_bytes, 8).T.astype(np.uint16, order="C")
+    return ((bit & 7) * chunk_bytes + (bit >> 3)).reshape(-1)
+
+
+def _sliced_kernel(count, member_map, chunk_bits):
+    """Chunks of 16 or more bits, bit-sliced (Biham, FSE 1997). The chunks
+    that selected one member are stacked in groups of 8 rows of B bytes, and
+    an 8x8 bit transpose across each group's rows, in place, leaves row k,
+    byte j holding chunk bit 8j + k of all 8 rows. Chunk bit p is then byte
+    ``P(p) = (p & 7) * B + (p >> 3)`` of the group's 8B bytes, its plane.
+    Permuting a chunk's bits is permuting the group's planes through the
+    member's map in plane order, ``P . map . P^-1``, one ``take`` per
+    member, and a second transpose turns the planes back into rows. The
+    array a block returns lives in a buffer that the next block reuses."""
     chunk_bytes = chunk_bits // 8
     # Sorting one- or two-byte keys takes numpy's stable radix sort.
-    key_dtype = np.min_scalar_type(len(maps) - 1)
+    key_dtype = np.min_scalar_type(count - 1)
+    # Built the first time a block selects the member, kept for the run.
+    plane_maps = [None] * count
 
-    def process(buf: bytes, sel: np.ndarray) -> bytes:
+    def plane_map(m):
+        if plane_maps[m] is None:
+            plane_maps[m] = _plane_map(member_map(m))
+        return plane_maps[m]
+
+    # Two block buffers, kept across blocks so that their pages are not
+    # faulted in afresh for each block; they grow to the largest padded block.
+    held = []
+
+    def buffers(size):
+        if not held or held[0].size < size:
+            held.clear()
+            held.extend(np.empty(size, dtype=np.uint8) for _ in range(2))
+        return held[0][:size], held[1][:size]
+
+    def process(buf: bytes, sel: np.ndarray) -> np.ndarray:
         rows = np.frombuffer(buf, dtype=np.uint8).reshape(-1, chunk_bytes)
         # Group the rows by member, in stable order, and pad each member's
         # rows to whole groups of 8 with copies of row 0 (dropped at the end).
         order = np.argsort(sel.astype(key_dtype), kind="stable")
-        counts = np.bincount(sel, minlength=len(maps))
+        counts = np.bincount(sel, minlength=count)
         groups = (counts + 7) // 8
         first = np.cumsum(groups) - groups
         slot = np.arange(len(order)) + np.repeat(8 * first + counts - np.cumsum(counts), counts)
         source = np.zeros(8 * int(groups.sum()), dtype=np.intp)
         source[slot] = order
-        grouped = rows.take(source, axis=0).reshape(-1, 8, chunk_bytes)
+        # The indices are in range; "clip" lets take write straight into out.
+        grouped, permuted = buffers(source.size * chunk_bytes)
+        np.take(rows, source, axis=0, out=grouped.reshape(-1, chunk_bytes), mode="clip")
 
-        # (group, row, byte) -> (group, byte, row): one uint64 per byte j.
-        sliced = np.ascontiguousarray(grouped.transpose(0, 2, 1))
-        _bit_transpose(sliced.view(_WORD))
-        planes = sliced.reshape(-1, chunk_bits)
-        # grouped is dead once sliced is copied out of it; reuse its buffer.
-        permuted = grouped.reshape(-1, chunk_bits)
+        _bit_transpose(grouped.view(_WORD), chunk_bytes)
+        planes = grouped.reshape(-1, chunk_bits)
         for m in np.flatnonzero(counts):
             g = slice(first[m], first[m] + groups[m])
-            # The maps are in range; "clip" lets take write straight into out.
-            np.take(planes[g], maps[m], axis=1, out=permuted[g], mode="clip")
-        _bit_transpose(permuted.view(_WORD))
+            np.take(planes[g], plane_map(m), axis=1,
+                    out=permuted.reshape(-1, chunk_bits)[g], mode="clip")
+        _bit_transpose(permuted.view(_WORD), chunk_bytes)
 
-        unsliced = permuted.reshape(-1, chunk_bytes, 8).transpose(0, 2, 1)
         where = np.empty(len(order), dtype=np.intp)
         where[order] = slot
-        return unsliced.reshape(-1, chunk_bytes).take(where, axis=0).tobytes()
+        # grouped is dead once permuted is written; its buffer takes the rows.
+        out = grouped[:rows.size]
+        np.take(permuted.reshape(-1, chunk_bytes), where, axis=0,
+                out=out.reshape(-1, chunk_bytes), mode="clip")
+        return out
 
     return process
 

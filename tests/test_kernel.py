@@ -90,14 +90,34 @@ def test_kernel_matches_oracle_across_batches(n_qubits):
 
 
 # SHA-256 of the pool file, the whitened output and the trace file for a
-# pinned run: n=2 takes the table kernel and n=13 the sliced kernel.
+# pinned run. n=2 takes the table kernel; the rest take the sliced kernel
+# on rows of 2, 4, 16, 128, 1024 and 8192 bytes. Between them they cover
+# every kind of transpose round: rows that share one uint64 (n=4, 5),
+# short runs of words between rows (n=7), long runs (n=10, 13, 16),
+# transpose passes that cross a slice (n=16) and a last block that ends
+# in a partial chunk (every n above 3).
 PINNED_DIGESTS = {
     2: ("42a133885f10d1f37b95c6ba4f4444a3c4b0d3def45e134a8261ca6a0f327f5a",
         "ecfade446450ad6fb26647a9f611ed4b0bb0243114e4afe3c13f8bae6e49d9cd",
         "37aad778930df29a98776eabf7e67a6f5af8eae3d90cf1b6fed2b629f1967d73"),
+    4: ("250a903be5310fde72a20605ca4f86746e84b7a32697c032069d79fa020ffb5a",
+        "381e74149011f1de1ae87f5473790df3277a0e36db116bee5cd76f80c57b5996",
+        "e59dbda39e6c9432d5033d6cb726169ab809e69a4c6bb6cfb373bb00d42f49c4"),
+    5: ("248373377952a96d997c453750983a163b30a5529086089086812382cb1a1395",
+        "9b2be10326542a61d355e33c54a840c5857688b4ec0047f82dc7056371daac7a",
+        "2a06d0f8c47fa5e63981202ccac35d5fda129afc68bfa4a11bc9a24237f302bf"),
+    7: ("331f8e25f835230a5622a66f67f33592e286c229b0490e00ac86bc58af5216a4",
+        "1319e358cf6f6c35da964001b418ca6d57a6ab2b1304934e75b36c96ce0788df",
+        "51ae1cbebc86707be41a292ddec54c696750db6ec575602aa9635869c8af05f2"),
+    10: ("824a5b6fedc9384c5d6f9f04220ad0a4c7c522c521e352db518b57b73a39edd5",
+         "368bc5f258dd4baba4e5ecf81f9532bfc03e20d516ac0b065b885df29ab7a828",
+         "c4433d0543d62fcbeebfd8325e4384eac8b763cfe7db59e2f280bbc97a696ec8"),
     13: ("4c9a18a58f0169607a87cd462948327813fa6b0b2109f267c430db7ab078cdda",
          "1a1ceddb5d94270bc7375289cdda4bb2a588a8a1b17d04d5dbdc97b6e0e348d1",
          "2aa89adc3b65fffc7a4788fd32fa93b7ce6862925afbe4aab2015f371bf3822b"),
+    16: ("68332574430ddd232453234239776179ea3b9cda52b29d48dedf805cca7cbbd8",
+         "4761b442ba10822562fcf02e17b883d32471cc5b73a17e6abcd8cc00ac7fa7cd",
+         "01931302259e44adfe29114767a8bda3207fcc06fc74363c19183bb67346fcd4"),
 }
 
 

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from permwhite import cli
 from permwhite.cli import main
 from permwhite.entropy import CounterSource
 from permwhite.errors import PreconditionError
@@ -75,3 +76,34 @@ def test_random_indices_refuses_negative_count():
 def test_monte_carlo_pi_needs_one_point():
     with pytest.raises(PreconditionError):
         monte_carlo_pi(io.BytesIO(b"\x00" * 5))
+
+
+def test_unwhiten_refuses_a_short_input_before_opening_the_output(
+        tmp_path, monkeypatch, capsys):
+    # n=3: one chunk per byte, so an input one byte short is one chunk short
+    pool, src = tmp_path / "p.pool", tmp_path / "in.bin"
+    white, trace = tmp_path / "white.bin", tmp_path / "run.trace"
+    src.write_bytes(CounterSource("refusals-short").read_bytes(4_099))
+    assert main(["gen-pool", str(pool), "--n-qubits", "3", "--count", "5",
+                 "--source", "det", "--key", "refusals-short-pool"]) == 0
+    assert main(["whiten", str(src), str(white), "--pool", str(pool),
+                 "--trace", str(trace), "--source", "det"]) == 0
+    short = tmp_path / "short.bin"
+    short.write_bytes(white.read_bytes()[:-1])
+    opened = []
+    real_output = cli._atomic_output
+
+    def recording_output(path):
+        opened.append(path)
+        return real_output(path)
+
+    monkeypatch.setattr(cli, "_atomic_output", recording_output)
+    out = tmp_path / "back.bin"
+    rc = main(["unwhiten", str(short), str(out), "--pool", str(pool),
+               "--trace", str(trace)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "4098 chunks" in err and "records 4099" in err
+    assert opened == []
+    assert not out.exists()
+    assert leftovers(tmp_path) == []

@@ -2,7 +2,8 @@
 kernel it replaced: every 16-bit chunk value through every member of a
 small pool, the ways chunks can fall into groups of 8 rows per member,
 pools past 256 members, and the memory a block and the pool's maps cost;
-and the bit layout the transpose gives the planes."""
+and the bit layout the transpose gives the planes, inside one-byte rows
+and across longer rows."""
 
 import io
 import tracemalloc
@@ -12,8 +13,8 @@ import pytest
 
 from permwhite.entropy import CounterSource, SeedFileSource
 from permwhite.permutation import IndexPermutation, MatrixPool, generate_pool
-from permwhite.whitening import (_WORD, WhitenConfig, _bit_transpose, unwhiten_stream,
-                                 whiten_stream)
+from permwhite.whitening import (_WORD, WhitenConfig, _bit_transpose, _plane_map,
+                                 _transpose_rounds, unwhiten_stream, whiten_stream)
 
 MIB = 1 << 20
 
@@ -131,6 +132,42 @@ def test_transpose_turns_chunk_bit_p_into_plane_byte_p(chunk_bytes):
     assert np.array_equal(sliced, groups.transpose(0, 2, 1))
 
 
+@pytest.mark.parametrize("row_bytes", [2, 4, 8, 16, 1024])
+def test_transpose_across_rows_turns_chunk_bit_8j_plus_k_into_row_k_byte_j(row_bytes):
+    # At 1024 bytes, 40 groups of 8 rows are more words than one transpose
+    # pass, so the slicing is crossed too.
+    n_groups = 40 if row_bytes == 1024 else 9
+    rng = np.random.default_rng(row_bytes)
+    rows = rng.integers(0, 256, (n_groups, 8, row_bytes), dtype=np.uint8)
+    words = rows.reshape(-1).view(_WORD).copy()
+    _bit_transpose(words, row_bytes)
+    assert words.dtype == np.uint64
+    assert all(shift.dtype == np.uint64 and mask.dtype == np.uint64
+               for _, shift, mask in _transpose_rounds(row_bytes))
+    # bits[g, r, j, k] is chunk bit 8j + k of row r; row k, byte j of the
+    # result holds it as its bit r, MSB first
+    bits = np.unpackbits(rows, axis=-1).reshape(n_groups, 8, row_bytes, 8)
+    expected = np.packbits(bits.transpose(0, 3, 2, 1), axis=-1)
+    assert np.array_equal(words.view(np.uint8), expected.reshape(-1))
+    _bit_transpose(words, row_bytes)
+    assert np.array_equal(words.view(np.uint8), rows.reshape(-1))
+
+
+@pytest.mark.parametrize("n_qubits", [4, 13, 16])
+def test_plane_map_is_the_bit_map_in_plane_order(n_qubits):
+    n = 1 << n_qubits
+    bit_map = np.random.default_rng(n_qubits).permutation(n).astype(np.uint32)
+    plane = _plane_map(bit_map)
+    assert plane.dtype == np.uint16
+    assert int(plane.max()) == n - 1
+    # chunk bit p sits at plane (p & 7) * B + (p >> 3)
+    p = np.arange(n)
+    to_plane = (p & 7) * (n // 8) + (p >> 3)
+    expected = np.empty(n, dtype=np.intp)
+    expected[to_plane] = to_plane[bit_map]
+    assert np.array_equal(plane, expected)
+
+
 @pytest.mark.parametrize("n_qubits", [4, 13])
 def test_pool_over_256_members(n_qubits):
     # 300 members: each draw reads a two-byte word, and the kernel sorts
@@ -183,3 +220,25 @@ def test_pool_maps_are_not_copied_per_run():
     assert maps_bytes == 75 * MIB
     assert whiten_peak <= 40 * MIB
     assert unwhiten_peak <= maps_bytes + 40 * MIB
+
+
+def test_unwhiten_inverts_each_member_only_when_selected():
+    # n=16, M=300: an inverse map per member up front held 75 MiB. Inverting
+    # a member when a block first selects it holds only the plane-order
+    # maps of the members that the block's 128 chunks select.
+    pool = random_pool(16, 300, 17)
+    data = CounterSource("lazy-inverse-in").read_bytes(MIB)
+    cfg = WhitenConfig(n_qubits=16, pool_count=300, record_selections=True)
+    out = io.BytesIO()
+    trace = whiten_stream(io.BytesIO(data), pool, cfg, CounterSource("lazy-inverse-sel"),
+                          out)
+    whitened = io.BytesIO(out.getvalue())
+    back = io.BytesIO()
+    tracemalloc.start()
+    try:
+        unwhiten_stream(whitened, pool, trace, back)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.getvalue() == data
+    assert peak <= 40 * MIB
