@@ -127,8 +127,6 @@ class EntropySource:
             kept = values[values < m] if m & (m - 1) else values
             parts.append(kept)
             owed -= kept.size
-        if len(parts) == 1:
-            return kept.astype(np.uint32)
         return np.concatenate(parts, dtype=np.uint32)
 
 

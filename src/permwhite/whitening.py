@@ -207,53 +207,36 @@ def _table_kernel(count, member_map, chunk_bits):
 # column c with row r + d, column c - d wherever r lacks bit d and c has it:
 # byte mask 0x0F, 0x33, 0x55 in the least-significant-first numbering of
 # the bits. After the three rounds row k holds column k of every row, row r
-# as its bit r, so the transpose is its own inverse. Rows d apart that share
-# a little-endian uint64 swap by one shift inside each word; rows in
-# different words swap by the same bit shift between the two words.
+# as its bit r, so the transpose is its own inverse.
 _WORD = np.dtype("<u8")
 _ROUNDS = ((4, 0x0F), (2, 0x33), (1, 0x55))
-_LANES = 0x0101010101010101  # times a byte mask: that mask in every byte
 
 # Words per pass of the transpose: its array operations then run on 256 KiB
 # that stays in cache, not on a whole (padded) block. A pass holds whole
 # groups, since a group of 8 rows of at most 8 KiB is at most 8192 words.
 _TRANSPOSE_SLICE = 1 << 15
-# Length of a periodic mask: a multiple of every period 2k, k at most 4096.
-_MASK_WORDS = 1 << 13
 
 
 # Cached per row size: a run uses one, and chunks of 2^4..2^16 bits have 13.
 @functools.lru_cache(maxsize=None)
 def _transpose_rounds(row_bytes: int) -> tuple:
     """The three rounds for rows of ``row_bytes`` bytes, as (word distance
-    k, shift, mask). When rows d apart share a word, k is 0, the shift also
-    moves row r's bytes onto row r + d's, and the mask is the byte mask on
-    the lower row's bytes. Otherwise word i pairs with word i + k, and the
-    mask is ``_MASK_WORDS`` words of period 2k, read-only: the byte mask in
-    every byte of a lower row's words, 0 in an upper row's. One pass over
-    every word with it beats numpy's strided views of the paired rows,
-    whose runs are short."""
+    k, shift, mask). Row r + d's byte lies ``span = d * row_bytes`` bytes
+    after row r's, in the little-endian words: ``span // 8`` words on and
+    ``8 * (span % 8)`` bits up, plus the round's bit shift d. So word i
+    pairs with word i + k, and the mask is one pass of words, read-only,
+    holding the byte mask on a lower row's bytes and 0 on an upper row's:
+    period 2 * span bytes, which divides a group and so every pass's start.
+    One pass over every word with it beats numpy's strided views of the
+    paired rows, whose runs are short."""
     rounds = []
     for d, byte_mask in _ROUNDS:
-        span = d * row_bytes  # bytes from row r to row r + d
-        if span < 8:
-            low = sum(byte_mask << 8 * b for b in range(8) if not (b // row_bytes) & d)
-            rounds.append((0, np.uint64(8 * span + d), np.uint64(low)))
-        else:
-            k = span // 8
-            period = np.repeat(np.array([byte_mask * _LANES, 0], dtype=_WORD), k)
-            mask = np.tile(period, _MASK_WORDS // (2 * k))
-            mask.setflags(write=False)
-            rounds.append((k, np.uint64(d), mask))
+        span = d * row_bytes
+        period = np.repeat(np.array([byte_mask, 0], dtype=np.uint8), span)
+        mask = np.tile(period, _TRANSPOSE_SLICE * 8 // (2 * span)).view(_WORD)
+        mask.setflags(write=False)
+        rounds.append((span // 8, np.uint64(8 * (span % 8) + d), mask))
     return tuple(rounds)
-
-
-def _and_periodic(t: np.ndarray, mask: np.ndarray) -> None:
-    """``t[i] &= mask[i % mask.size]``, in place, for contiguous ``t``."""
-    whole = t.size - t.size % mask.size
-    periods = t[:whole].reshape(-1, mask.size)
-    periods &= mask
-    t[whole:] &= mask[:t.size - whole]
 
 
 def _bit_transpose(words: np.ndarray, row_bytes: int = 1) -> None:
@@ -271,10 +254,7 @@ def _bit_transpose(words: np.ndarray, row_bytes: int = 1) -> None:
             t = scratch[:lo.size]
             np.right_shift(hi, shift, out=t)
             t ^= lo
-            if k:
-                _and_periodic(t, mask)
-            else:
-                t &= mask
+            t &= mask[:t.size]
             lo ^= t
             t <<= shift
             hi ^= t

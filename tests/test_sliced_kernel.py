@@ -132,17 +132,19 @@ def test_transpose_turns_chunk_bit_p_into_plane_byte_p(chunk_bytes):
     assert np.array_equal(sliced, groups.transpose(0, 2, 1))
 
 
-@pytest.mark.parametrize("row_bytes", [2, 4, 8, 16, 1024])
+@pytest.mark.parametrize("row_bytes", [1, 2, 4, 8, 16, 1024, 8192])
 def test_transpose_across_rows_turns_chunk_bit_8j_plus_k_into_row_k_byte_j(row_bytes):
     # At 1024 bytes, 40 groups of 8 rows are more words than one transpose
-    # pass, so the slicing is crossed too.
+    # pass, so the slicing is crossed too. At 8192 bytes, 9 groups cross
+    # two passes with the longest mask period, 2 * 4096 words.
     n_groups = 40 if row_bytes == 1024 else 9
     rng = np.random.default_rng(row_bytes)
     rows = rng.integers(0, 256, (n_groups, 8, row_bytes), dtype=np.uint8)
     words = rows.reshape(-1).view(_WORD).copy()
     _bit_transpose(words, row_bytes)
     assert words.dtype == np.uint64
-    assert all(shift.dtype == np.uint64 and mask.dtype == np.uint64
+    assert all(shift.dtype == np.uint64 and isinstance(mask, np.ndarray)
+               and mask.dtype == np.uint64 and not mask.flags.writeable
                for _, shift, mask in _transpose_rounds(row_bytes))
     # bits[g, r, j, k] is chunk bit 8j + k of row r; row k, byte j of the
     # result holds it as its bit r, MSB first
