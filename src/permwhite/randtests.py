@@ -9,10 +9,11 @@ frequency, block frequency with 128-bit blocks, runs, and cumulative sums
 in both directions.
 
 Everything is computed in one streaming pass with bounded memory, using
-exact integer accumulators wherever possible. The Monte Carlo comparison
-is made in float64, which is exact for 24-bit coordinates. ``analyze`` feeds
+exact integer accumulators throughout: the Monte Carlo coordinates are read
+as 24-bit fields of big-endian words and squared in int64. ``analyze`` feeds
 both batteries from a single read; the bit battery works on whole bytes
-through 256-entry tables and never expands a byte into bits.
+through 256-entry tables, one 128-bit row at a time, and never expands a
+byte into bits.
 """
 
 from __future__ import annotations
@@ -133,14 +134,19 @@ class _ByteStats:
         self.last = block[-1:]
 
         data = self.mc_carry + block
-        usable = len(data) - len(data) % 6
-        g = np.frombuffer(data, np.uint8, count=usable).reshape(-1, 6)
-        # float64 holds X^2 + Y^2 < 2^49 exactly.
-        x = g[:, 0] * 65536.0 + g[:, 1] * 256.0 + g[:, 2]
-        y = g[:, 3] * 65536.0 + g[:, 4] * 256.0 + g[:, 5]
-        self.mc_inside += int(np.count_nonzero(x * x + y * y <= _MC_RADIUS_SQ))
-        self.mc_points += len(g)
-        self.mc_carry = data[usable:]
+        points = len(data) // 6
+        self.mc_carry = data[6 * points:]
+        if not points:
+            return
+        # Point k is data[6k:6k + 6]: X is the top 24 bits of the big-endian
+        # word at 6k and Y the low 24 bits of the one at 6k + 2, so neither
+        # read passes the point's end. X^2 + Y^2 < 2^49 is summed in int64.
+        x = np.ndarray((points,), ">u4", data, 0, (6,)) >> 8
+        y = np.ndarray((points,), ">u4", data, 2, (6,)) & 0xFFFFFF
+        r2 = np.square(x, dtype=np.int64)
+        r2 += np.square(y, dtype=np.int64)
+        self.mc_inside += int(np.count_nonzero(r2 <= _MC_RADIUS_SQ))
+        self.mc_points += points
 
     def entropy(self) -> float:
         p = self.counts[self.counts > 0] / self.n
@@ -194,9 +200,11 @@ class _BitStats:
     """Single-pass accumulator behind the four-test bit battery.
 
     Works on whole bytes through the 256-entry tables, so no bit is ever
-    expanded. The only per-byte state is one int32 walk buffer, reused
-    across reads because a fresh one costs as much in page faults as the
-    cumulative sum that fills it.
+    expanded. The walk S_k is taken one 128-bit row (16 bytes, one
+    block-frequency block) at a time: each read's whole rows are laid out
+    byte-major, so byte i of every row is contiguous, the walk inside a row
+    is 15 int16 adds, and only the row totals go through a cumulative sum.
+    The bytes of an unfinished row carry to the next read.
     """
 
     def __init__(self):
@@ -204,18 +212,15 @@ class _BitStats:
         self.ones = 0
         self.transitions = 0
         self.last = b""          # final byte of the previous block
-        self.bf_anchor = 0       # S_k at the end of the last full 128-bit block
-        self.bf_sum_sq = 0       # sum over blocks of (ones_in_block - 64)^2
+        self.carry = b""         # bytes of an unfinished row
+        self.bf_sum_sq = 0       # sum over rows of (ones_in_row - 64)^2
         self.bf_blocks = 0
-        self.running = 0         # S_k after the last consumed bit
-        self.min_s = 0           # min over k >= 0 of S_k
+        self.running = 0         # S_k at the end of the last whole row
+        self.min_s = 0           # min over k >= 0 of S_k, whole rows only
         self.max_s = 0
-        self._walk = np.empty(0, dtype=np.int32)
 
     def update(self, block: bytes, counts: np.ndarray) -> None:
-        size = len(block)
-        offset = self.n // 8
-        self.n += 8 * size
+        self.n += 8 * len(block)
         self.ones += int(counts @ POPCOUNT)
         # Runs: transitions inside each byte, then between adjacent bytes
         # (low bit of one against the high bit of the next), the previous
@@ -225,33 +230,42 @@ class _BitStats:
         self.transitions += int(np.count_nonzero((a[:-1] & 1) != (a[1:] >> 7)))
         self.last = block[-1:]
 
-        # walk[j] = S at the end of byte j, relative to self.running. int32
-        # is exact: a block holds at most BLOCK_BYTES = 2^20 bytes, so
-        # |walk| <= 2^23.
-        if self._walk.size < size:
-            self._walk = np.empty(size, dtype=np.int32)
-        walk = self._walk[:size]
-        np.cumsum(np.frombuffer(block.translate(_STEP_T), dtype=np.int8),
-                  dtype=np.int32, out=walk)
+        data = self.carry + block
+        rows = len(data) // _BLOCK_FREQ_BYTES
+        self.carry = data[rows * _BLOCK_FREQ_BYTES:]
+        if not rows:
+            return
+        whole = np.frombuffer(data, np.uint8, count=rows * _BLOCK_FREQ_BYTES)
+        cols = whole.reshape(rows, -1).T.tobytes()    # byte i of every row together
 
-        # Block frequency: ends is S at each 128-bit block boundary this
-        # read reaches. A block over which S rises by d holds (128 + d) / 2
-        # ones, so (ones - 64)^2 = d^2 / 4; a partial last block is dropped.
-        ends = walk[(-offset - 1) % _BLOCK_FREQ_BYTES::_BLOCK_FREQ_BYTES]
-        if ends.size:
-            d = np.diff(ends, prepend=self.bf_anchor - self.running)
-            self.bf_sum_sq += int(np.einsum("i,i", d, d, dtype=np.int64)) // 4
-            self.bf_blocks += d.size
-            self.bf_anchor = self.running + int(ends[-1])
+        def table(t):
+            return np.frombuffer(cols.translate(t), np.int8).reshape(-1, rows)
+
+        # walk[i, r] = S at the end of byte i of row r, relative to the row's
+        # start; int16 is exact, as |walk| <= 128. These row adds run about
+        # 3x faster than np.cumsum along axis 0.
+        step = table(_STEP_T)
+        walk = np.empty(step.shape, np.int16)
+        walk[0] = step[0]
+        for i in range(1, _BLOCK_FREQ_BYTES):
+            np.add(walk[i - 1], step[i], out=walk[i])
+
+        # Block frequency: a row over which S rises by d holds (128 + d) / 2
+        # ones, so (ones - 64)^2 = d^2 / 4. int32 row ends are exact: a read
+        # holds at most BLOCK_BYTES = 2^20 bytes plus a carry, so |S| < 2^24.
+        d = walk[-1]
+        self.bf_sum_sq += int(np.einsum("i,i", d, d, dtype=np.int64)) // 4
+        self.bf_blocks += rows
+        ends = np.cumsum(d, dtype=np.int32)
+        starts = ends - d
 
         # Cumulative sums: each byte's in-byte extremes, offset from the
         # walk at its end, bound every S_k it contributes.
-        end = int(walk[-1])
-        walk += np.frombuffer(block.translate(_LOW_T), dtype=np.int8)
-        self.min_s = min(self.min_s, self.running + int(walk.min()))
-        walk += np.frombuffer(block.translate(_SPAN_T), dtype=np.int8)
-        self.max_s = max(self.max_s, self.running + int(walk.max()))
-        self.running += end
+        walk += table(_LOW_T)
+        self.min_s = min(self.min_s, self.running + int((starts + walk.min(axis=0)).min()))
+        walk += table(_SPAN_T)
+        self.max_s = max(self.max_s, self.running + int((starts + walk.max(axis=0)).max()))
+        self.running += int(ends[-1])
 
     def report(self) -> NistLiteReport:
         n, ones = self.n, self.ones
@@ -280,6 +294,10 @@ class _BitStats:
             )
 
         running, min_s, max_s = self.running, self.min_s, self.max_s
+        for byte in self.carry:    # the unfinished row counts for the walk only
+            min_s = min(min_s, running + WMIN[byte])
+            max_s = max(max_s, running + WMAX[byte])
+            running += STEP[byte]
         z_fwd = max(max_s, -min_s)
         z_bwd = max(running - min_s, max_s - running)
         return NistLiteReport(

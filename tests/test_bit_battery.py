@@ -3,9 +3,11 @@
 
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
@@ -21,6 +23,7 @@ from permwhite.randtests import (
 )
 
 ORACLE_BLOCK_BYTES = 1 << 20
+MIB = 1 << 20
 
 
 def oracle_nist_lite(src) -> NistLiteReport:
@@ -138,3 +141,55 @@ def test_analyze_reads_input_once():
     assert reader.bytes_read == len(data)
     assert ent == ent_analyze(io.BytesIO(data))
     assert nist == nist_lite(io.BytesIO(data))
+
+
+ROW_FILLS = {
+    "ones": b"\xff",          # every row sums to +128, the int16 walk's top
+    "zeros": b"\x00",         # -128, its bottom
+    "alternating": b"\xaa",   # 0
+}
+
+
+@pytest.mark.parametrize("block", (15, 16, 17, 31, 33))
+@pytest.mark.parametrize("tail", (0, 1, 15))
+@pytest.mark.parametrize("fill", (*ROW_FILLS, "counter"))
+def test_rows_split_across_reads_match_oracle(block, tail, fill):
+    # 128-bit rows cut at every offset against the read, with 0, 1 or 15
+    # bytes of an unfinished row left for the report.
+    for rows in (1, 2, 40):
+        size = 16 * rows + tail
+        if fill == "counter":
+            data = CounterSource(f"rows-{size}").read_bytes(size)
+        else:
+            data = ROW_FILLS[fill] * size
+        with mock.patch.object(randtests, "BLOCK_BYTES", block):
+            got = nist_lite(io.BytesIO(data))
+        assert got == oracle_nist_lite(io.BytesIO(data)), size
+
+
+def test_cusum_extreme_spanning_reads_matches_oracle():
+    # The walk climbs for 2 MiB + 5 bytes and falls for 2 MiB: its maximum
+    # falls mid-row in the third 1 MiB read, and the last 5 bytes are an
+    # unfinished row that only the report walks.
+    data = b"\xff" * ((2 << 20) + 5) + b"\x00" * (2 << 20)
+    assert nist_lite(io.BytesIO(data)) == oracle_nist_lite(io.BytesIO(data))
+
+
+@pytest.fixture(scope="module")
+def memory_inputs():
+    return {size: CounterSource("memory-bound").read_bytes(size * MIB) for size in (4, 16)}
+
+
+@pytest.mark.parametrize("call", (analyze, nist_lite, ent_analyze))
+def test_statistics_memory_is_bounded_and_flat_in_input_size(call, memory_inputs):
+    peaks = {}
+    for size, data in memory_inputs.items():
+        src = io.BytesIO(data)
+        tracemalloc.start()
+        try:
+            call(src)
+            peaks[size] = tracemalloc.get_traced_memory()[1] / MIB
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= 11, peaks
+    assert abs(peaks[16] - peaks[4]) <= 0.5, peaks

@@ -118,3 +118,46 @@ def test_monte_carlo_edge_points_split_across_blocks(block):
     with mock.patch.object(randtests, "BLOCK_BYTES", block):
         assert monte_carlo_pi(io.BytesIO(data)) == 2.0
         assert_matches_oracle(data)
+
+
+def fed_in_blocks(data: bytes, size: int):
+    """``_ByteStats`` and the oracle fed ``data`` in ``size``-byte blocks
+    (the last may be shorter), each a ``bytes`` object that holds no byte
+    past its block's end, so a read past it raises."""
+    stats, oracle = randtests._ByteStats(), OracleByteStats()
+    for start in range(0, len(data), size):
+        block = data[start:start + size]
+        counts = np.bincount(np.frombuffer(block, dtype=np.uint8), minlength=256)
+        stats.update(block, counts)
+        oracle.update(block, counts)
+    return stats, oracle
+
+
+@pytest.mark.parametrize("points", (1, 2, 7, 1000))
+def test_monte_carlo_reads_no_byte_past_a_whole_point_block(points):
+    # Blocks of exactly 6k bytes: the word read at offset 2 of each
+    # block's last point ends on the block's last byte.
+    data = CounterSource(f"mc-whole-{points}").read_bytes(18 * points)
+    stats, oracle = fed_in_blocks(data, 6 * points)
+    assert stats.mc_carry == b""
+    assert (stats.mc_inside, stats.mc_points) == (oracle.mc_inside, oracle.mc_points)
+    assert stats.report() == oracle.report()
+
+
+@pytest.mark.parametrize("extra", range(1, 6))
+@pytest.mark.parametrize("points", (1, 2, 1000))
+def test_monte_carlo_leftover_bytes_carry_to_the_next_block(points, extra):
+    data = CounterSource(f"mc-carry-{points}-{extra}").read_bytes(5 * (6 * points + extra) + 3)
+    with mock.patch.object(randtests, "BLOCK_BYTES", 6 * points + extra):
+        assert_matches_oracle(data)
+
+
+@pytest.mark.parametrize("points", (1, 2, 1000))
+def test_monte_carlo_edge_points_end_a_block(points):
+    # (2^24 - 1, 0) is inside and (2^24 - 1, 1) outside; each closes a
+    # block of 6k bytes.
+    filler = CounterSource(f"mc-edge-{points}").read_bytes(6 * points - 6)
+    data = filler + b"\xff\xff\xff\x00\x00\x00" + filler + b"\xff\xff\xff\x00\x00\x01"
+    stats, oracle = fed_in_blocks(data, 6 * points)
+    assert (stats.mc_inside, stats.mc_points) == (oracle.mc_inside, oracle.mc_points)
+    assert stats.report() == oracle.report()

@@ -320,6 +320,26 @@ def test_analyze_csv_output(tmp_path, capsys):
     assert "p_monobit" in text
 
 
+@pytest.mark.parametrize("size, rc, bit_count", [
+    (5, 5, None),      # byte-mode battery needs at least 6 bytes
+    (6, 5, None),      # the bit battery needs at least 128 bits
+    (15, 5, None),     # 120 bits, all of them an unfinished 128-bit row
+    (16, 0, 128),
+    (17, 0, 136),      # one whole row and one byte carried into the report
+])
+def test_analyze_csv_preconditions_on_tiny_files(tmp_path, capsys, size, rc, bit_count):
+    path = tmp_path / "tiny.bin"
+    path.write_bytes(CounterSource("cli-tiny").read_bytes(size))
+    report = tmp_path / "tiny.csv"
+    assert run_cli("analyze", str(path), "--csv", str(report)) == rc
+    err = capsys.readouterr().err
+    if bit_count is None:
+        assert not report.exists()
+        assert ("at least 6 bytes" if size < 6 else "at least 128 bits") in err
+    else:
+        assert f"bit_count,{bit_count}\n" in report.read_text()
+
+
 def test_compare_file_with_itself_is_unchanged(tmp_path, capsys):
     path = tmp_path / "same.bin"
     path.write_bytes(CounterSource("cli-cmp").read_bytes(30_000))
