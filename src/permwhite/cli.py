@@ -40,6 +40,7 @@ from .reports import (
 )
 from .whitening import (
     WhitenConfig,
+    check_trace,
     frame,
     trace_load,
     trace_save,
@@ -175,6 +176,7 @@ def _cmd_unwhiten(args: argparse.Namespace) -> int:
     pool = _open_pool(args, writes_trace=False)
     with open(args.trace, "rb") as fh:
         trace = trace_load(fh)
+    check_trace(pool, trace)
     with open(args.input, "rb") as src:
         # A regular file's size is known: refuse a mismatch before writing.
         info = os.fstat(src.fileno())

@@ -13,7 +13,7 @@ exact integer accumulators throughout: the Monte Carlo coordinates are read
 as 24-bit fields of big-endian words and squared in int64. ``analyze`` feeds
 both batteries from a single read; the bit battery works on whole bytes
 through 256-entry tables, one 128-bit row at a time, and never expands a
-byte into bits.
+byte into bits. Every read but the last holds whole points and rows.
 """
 
 from __future__ import annotations
@@ -118,14 +118,13 @@ class _ByteStats:
         self.first = b""            # first byte of the stream
         self.last = b""             # last byte of the previous block
         self.cross_sum = 0          # sum of x_i * x_{i+1}, non-circular part
-        self.mc_carry = b""
         self.mc_inside = 0
         self.mc_points = 0
 
     def update(self, block: bytes, counts: np.ndarray) -> None:
-        # Each carry (self.last, self.mc_carry) is prepended to the block,
-        # then refilled with what the next block needs. einsum sums the uint8
-        # products in int64 without a widened copy of the block.
+        """Every block but the last holds whole 6-byte points."""
+        # einsum sums the uint8 products, the previous block's last byte
+        # prepended, in int64 without a widened copy of the block.
         self.counts += counts
         self.n += len(block)
         self.first = self.first or block[:1]
@@ -133,16 +132,14 @@ class _ByteStats:
         self.cross_sum += int(np.einsum("i,i", a[:-1], a[1:], dtype=np.int64))
         self.last = block[-1:]
 
-        data = self.mc_carry + block
-        points = len(data) // 6
-        self.mc_carry = data[6 * points:]
+        points = len(block) // 6
         if not points:
             return
-        # Point k is data[6k:6k + 6]: X is the top 24 bits of the big-endian
+        # Point k is block[6k:6k + 6]: X is the top 24 bits of the big-endian
         # word at 6k and Y the low 24 bits of the one at 6k + 2, so neither
         # read passes the point's end. X^2 + Y^2 < 2^49 is summed in int64.
-        x = np.ndarray((points,), ">u4", data, 0, (6,)) >> 8
-        y = np.ndarray((points,), ">u4", data, 2, (6,)) & 0xFFFFFF
+        x = np.ndarray((points,), ">u4", block, 0, (6,)) >> 8
+        y = np.ndarray((points,), ">u4", block, 2, (6,)) & 0xFFFFFF
         r2 = np.square(x, dtype=np.int64)
         r2 += np.square(y, dtype=np.int64)
         self.mc_inside += int(np.count_nonzero(r2 <= _MC_RADIUS_SQ))
@@ -204,7 +201,7 @@ class _BitStats:
     block-frequency block) at a time: each read's whole rows are laid out
     byte-major, so byte i of every row is contiguous, the walk inside a row
     is 15 int16 adds, and only the row totals go through a cumulative sum.
-    The bytes of an unfinished row carry to the next read.
+    Only the last read can end inside a row; ``report`` walks its tail.
     """
 
     def __init__(self):
@@ -212,7 +209,7 @@ class _BitStats:
         self.ones = 0
         self.transitions = 0
         self.last = b""          # final byte of the previous block
-        self.carry = b""         # bytes of an unfinished row
+        self.tail = b""          # the last read's bytes after its whole rows
         self.bf_sum_sq = 0       # sum over rows of (ones_in_row - 64)^2
         self.bf_blocks = 0
         self.running = 0         # S_k at the end of the last whole row
@@ -220,6 +217,7 @@ class _BitStats:
         self.max_s = 0
 
     def update(self, block: bytes, counts: np.ndarray) -> None:
+        """Every block but the last holds whole 16-byte rows."""
         self.n += 8 * len(block)
         self.ones += int(counts @ POPCOUNT)
         # Runs: transitions inside each byte, then between adjacent bytes
@@ -230,12 +228,11 @@ class _BitStats:
         self.transitions += int(np.count_nonzero((a[:-1] & 1) != (a[1:] >> 7)))
         self.last = block[-1:]
 
-        data = self.carry + block
-        rows = len(data) // _BLOCK_FREQ_BYTES
-        self.carry = data[rows * _BLOCK_FREQ_BYTES:]
+        rows = len(block) // _BLOCK_FREQ_BYTES
+        self.tail = block[rows * _BLOCK_FREQ_BYTES:]
         if not rows:
             return
-        whole = np.frombuffer(data, np.uint8, count=rows * _BLOCK_FREQ_BYTES)
+        whole = np.frombuffer(block, np.uint8, count=rows * _BLOCK_FREQ_BYTES)
         cols = whole.reshape(rows, -1).T.tobytes()    # byte i of every row together
 
         def table(t):
@@ -252,7 +249,7 @@ class _BitStats:
 
         # Block frequency: a row over which S rises by d holds (128 + d) / 2
         # ones, so (ones - 64)^2 = d^2 / 4. int32 row ends are exact: a read
-        # holds at most BLOCK_BYTES = 2^20 bytes plus a carry, so |S| < 2^24.
+        # holds at most BLOCK_BYTES = 2^20 bytes, so |S| <= 2^23.
         d = walk[-1]
         self.bf_sum_sq += int(np.einsum("i,i", d, d, dtype=np.int64)) // 4
         self.bf_blocks += rows
@@ -294,7 +291,7 @@ class _BitStats:
             )
 
         running, min_s, max_s = self.running, self.min_s, self.max_s
-        for byte in self.carry:    # the unfinished row counts for the walk only
+        for byte in self.tail:     # an unfinished row counts for the walk only
             min_s = min(min_s, running + WMIN[byte])
             max_s = max(max_s, running + WMAX[byte])
             running += STEP[byte]
@@ -312,11 +309,13 @@ class _BitStats:
 
 
 def _consume(src: BinaryIO, *accumulators) -> tuple:
-    """Read ``src`` once in ``BLOCK_BYTES`` blocks, feeding every accumulator
-    each block and its 256-bin byte histogram; returns the accumulators."""
+    """Read ``src`` once, feeding every accumulator each block and its
+    256-bin byte histogram; returns the accumulators. A block is the largest
+    multiple of 48 = lcm(6, 16) bytes not above ``BLOCK_BYTES``, at least 48."""
     # Looked up here, not bound as iter_blocks' default, so that tests can
     # move block boundaries by patching this module's BLOCK_BYTES.
-    for block in iter_blocks(src, BLOCK_BYTES):
+    size = max(48, BLOCK_BYTES - BLOCK_BYTES % 48)
+    for block in iter_blocks(src, size):
         counts = np.bincount(np.frombuffer(block, dtype=np.uint8), minlength=256)
         for acc in accumulators:
             acc.update(block, counts)

@@ -118,6 +118,16 @@ def whiten_stream(
                           indices=np.frombuffer(recorded, dtype="<u4"))
 
 
+def check_trace(pool: MatrixPool, trace: SelectionTrace) -> None:
+    """Raise ValueError unless ``pool`` has ``trace``'s chunk size and members."""
+    if trace.chunk_bits != pool.size:
+        raise ValueError(f"trace chunk size {trace.chunk_bits} != pool chunk size {pool.size}")
+    top = int(trace.indices.max(initial=0))
+    if top >= pool.count:
+        raise ValueError(f"trace selects index {top} but the pool holds only "
+                         f"{pool.count} permutations")
+
+
 def unwhiten_stream(
     input: BinaryIO,
     pool: MatrixPool,
@@ -127,15 +137,7 @@ def unwhiten_stream(
 ) -> None:
     """Invert a whitening run recorded in ``trace``; bit-exact recovery.
     ``workers`` is accepted for compatibility and ignored."""
-    if trace.chunk_bits != pool.size:
-        raise ValueError(
-            f"trace chunk size {trace.chunk_bits} != pool chunk size {pool.size}"
-        )
-    if trace.indices.size and int(trace.indices.max()) >= pool.count:
-        raise ValueError(
-            f"trace selects index {int(trace.indices.max())} "
-            f"but the pool holds only {pool.count} permutations"
-        )
+    check_trace(pool, trace)
     consumed = 0
 
     def draw(n_chunks: int) -> np.ndarray:
@@ -283,13 +285,10 @@ def _sliced_kernel(count, member_map, chunk_bits):
     chunk_bytes = chunk_bits // 8
     # Sorting one- or two-byte keys takes numpy's stable radix sort.
     key_dtype = np.min_scalar_type(count - 1)
-    # Built the first time a block selects the member, kept for the run.
-    plane_maps = [None] * count
 
+    @functools.lru_cache(maxsize=None)
     def plane_map(m):
-        if plane_maps[m] is None:
-            plane_maps[m] = _plane_map(member_map(m))
-        return plane_maps[m]
+        return _plane_map(member_map(m))
 
     # Two block buffers, kept across blocks so that their pages are not
     # faulted in afresh for each block; they grow to the largest padded block.
@@ -303,18 +302,16 @@ def _sliced_kernel(count, member_map, chunk_bits):
 
     def process(buf: bytes, sel: np.ndarray) -> np.ndarray:
         rows = np.frombuffer(buf, dtype=np.uint8).reshape(-1, chunk_bytes)
-        # Group the rows by member, in stable order, and pad each member's
-        # rows to whole groups of 8 with copies of row 0 (dropped at the end).
-        order = np.argsort(sel.astype(key_dtype), kind="stable")
+        # Group the rows by member, in stable order, with each member's rows
+        # padded to whole groups of 8 by sort keys after them. A pad's index
+        # lies past the last row: "clip" reads that row, dropped at the end.
         counts = np.bincount(sel, minlength=count)
         groups = (counts + 7) // 8
         first = np.cumsum(groups) - groups
-        slot = np.arange(len(order)) + np.repeat(8 * first + counts - np.cumsum(counts), counts)
-        source = np.zeros(8 * int(groups.sum()), dtype=np.intp)
-        source[slot] = order
-        # The indices are in range; "clip" lets take write straight into out.
-        grouped, permuted = buffers(source.size * chunk_bytes)
-        np.take(rows, source, axis=0, out=grouped.reshape(-1, chunk_bytes), mode="clip")
+        pads = np.repeat(np.arange(count, dtype=key_dtype), 8 * groups - counts)
+        order = np.argsort(np.concatenate((sel.astype(key_dtype), pads)), kind="stable")
+        grouped, permuted = buffers(order.size * chunk_bytes)
+        np.take(rows, order, axis=0, out=grouped.reshape(-1, chunk_bytes), mode="clip")
 
         _bit_transpose(grouped.view(_WORD), chunk_bytes)
         planes = grouped.reshape(-1, chunk_bits)
@@ -324,11 +321,11 @@ def _sliced_kernel(count, member_map, chunk_bits):
                     out=permuted.reshape(-1, chunk_bits)[g], mode="clip")
         _bit_transpose(permuted.view(_WORD), chunk_bytes)
 
-        where = np.empty(len(order), dtype=np.intp)
-        where[order] = slot
+        where = np.empty_like(order)
+        where[order] = np.arange(order.size)
         # grouped is dead once permuted is written; its buffer takes the rows.
         out = grouped[:rows.size]
-        np.take(permuted.reshape(-1, chunk_bytes), where, axis=0,
+        np.take(permuted.reshape(-1, chunk_bytes), where[:len(rows)], axis=0,
                 out=out.reshape(-1, chunk_bytes), mode="clip")
         return out
 

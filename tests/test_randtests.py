@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
+from permwhite import randtests
 from permwhite.entropy import CounterSource
 from permwhite.errors import PreconditionError
 from permwhite.randtests import (
@@ -136,6 +137,28 @@ def test_streaming_is_block_boundary_invariant(monkeypatch):
     monkeypatch.setattr("permwhite.randtests.BLOCK_BYTES", 9973)
     pieces = ent_analyze(io.BytesIO(data))
     assert whole == pieces
+
+
+class BlockLengths:
+    """An accumulator that only records the length of each block it is fed."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def update(self, block, counts):
+        self.lengths.append(len(block))
+
+
+@pytest.mark.parametrize("block", (1, 47, 48, 49, 100, 9973))
+def test_reads_hold_whole_points_and_rows(monkeypatch, block):
+    # 48 is the lcm of a 6-byte Monte Carlo point and a 16-byte row, so
+    # only the last read may end inside either.
+    data = CounterSource("framing").read_bytes(30_001)
+    monkeypatch.setattr("permwhite.randtests.BLOCK_BYTES", block)
+    (spy,) = randtests._consume(io.BytesIO(data), BlockLengths())
+    assert len(spy.lengths) > 1
+    assert all(n % 48 == 0 for n in spy.lengths[:-1])
+    assert sum(spy.lengths) == len(data)
 
 
 def test_precondition_errors():

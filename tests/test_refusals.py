@@ -107,3 +107,53 @@ def test_unwhiten_refuses_a_short_input_before_opening_the_output(
     assert opened == []
     assert not out.exists()
     assert leftovers(tmp_path) == []
+
+
+def test_unwhiten_names_a_trace_of_another_chunk_size(tmp_path, capsys):
+    # An n=4 trace of 4096 bytes records 2048 chunks; an n=3 pool frames
+    # the input into 4096. The chunk size is the cause, not the count.
+    src, white, trace = tmp_path / "in.bin", tmp_path / "white.bin", tmp_path / "run.trace"
+    pool4, pool3 = tmp_path / "n4.pool", tmp_path / "n3.pool"
+    src.write_bytes(CounterSource("refusals-n").read_bytes(4096))
+    for pool, n in ((pool4, "4"), (pool3, "3")):
+        assert main(["gen-pool", str(pool), "--n-qubits", n, "--count", "4",
+                     "--source", "det", "--key", f"refusals-n{n}"]) == 0
+    assert main(["whiten", str(src), str(white), "--pool", str(pool4),
+                 "--trace", str(trace), "--source", "det"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "back.bin"
+    rc = main(["unwhiten", str(white), str(out), "--pool", str(pool3),
+               "--trace", str(trace)])
+    assert rc == 2
+    assert "chunk size" in capsys.readouterr().err
+    assert not out.exists()
+    assert leftovers(tmp_path) == []
+
+
+def test_unwhiten_refuses_too_few_members_before_opening_the_output(
+        tmp_path, monkeypatch, capsys):
+    src, white, trace = tmp_path / "in.bin", tmp_path / "white.bin", tmp_path / "run.trace"
+    big, small = tmp_path / "m32.pool", tmp_path / "m5.pool"
+    src.write_bytes(CounterSource("refusals-m").read_bytes(4_099))
+    for pool, m in ((big, "32"), (small, "5")):
+        assert main(["gen-pool", str(pool), "--n-qubits", "3", "--count", m,
+                     "--source", "det", "--key", f"refusals-m{m}"]) == 0
+    assert main(["whiten", str(src), str(white), "--pool", str(big),
+                 "--trace", str(trace), "--source", "det"]) == 0
+    capsys.readouterr()
+    opened = []
+    real_output = cli._atomic_output
+
+    def recording_output(path):
+        opened.append(path)
+        return real_output(path)
+
+    monkeypatch.setattr(cli, "_atomic_output", recording_output)
+    out = tmp_path / "back.bin"
+    rc = main(["unwhiten", str(white), str(out), "--pool", str(small),
+               "--trace", str(trace)])
+    assert rc == 2
+    assert "pool holds only 5 permutations" in capsys.readouterr().err
+    assert opened == []
+    assert not out.exists()
+    assert leftovers(tmp_path) == []
