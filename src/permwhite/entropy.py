@@ -123,8 +123,9 @@ class EntropySource:
                 values <<= 8
                 values |= raw[j::nbytes]
             # A power-of-two span never rejects; any other m fits the word's
-            # dtype, where m = 256 would not.
-            kept = values[values < m] if m & (m - 1) else values
+            # dtype, where m = 256 would not. np.compress keeps the words
+            # without the per-element branch of a boolean index.
+            kept = np.compress(values < m, values) if m & (m - 1) else values
             parts.append(kept)
             owed -= kept.size
         return np.concatenate(parts, dtype=np.uint32)

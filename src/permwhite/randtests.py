@@ -12,8 +12,11 @@ Everything is computed in one streaming pass with bounded memory, using
 exact integer accumulators throughout: the Monte Carlo coordinates are read
 as 24-bit fields of big-endian words and squared in int64. ``analyze`` feeds
 both batteries from a single read; the bit battery works on whole bytes
-through 256-entry tables, one 128-bit row at a time, and never expands a
-byte into bits. Every read but the last holds whole points and rows.
+through 256-entry tables and never expands a byte into bits. It counts
+each 128-bit row's ones, which give block frequency and the walk at every
+row end, and walks byte by byte only the rows whose ones leave room for a
+new extreme of the cumulative sums. Every read but the last holds whole
+points and rows.
 """
 
 from __future__ import annotations
@@ -103,10 +106,24 @@ def _translation(values) -> bytes:
     return bytes(v & 0xFF for v in values)
 
 
+_POPCOUNT_T = bytes(POPCOUNT)
 _STEP_T = _translation(STEP)
 _LOW_T = _translation(lo - end for lo, end in zip(WMIN, STEP))   # relative to the byte's end
 _SPAN_T = _translation(hi - lo for hi, lo in zip(WMAX, WMIN))
 _BLOCK_FREQ_BYTES = _BLOCK_FREQ_BITS // 8
+
+
+def _row_ones(block: bytes, rows: int) -> np.ndarray:
+    """The number of ones in each of ``block``'s first ``rows`` 16-byte rows,
+    as int64. The popcounts of a row's two 8-byte words are added bytewise,
+    then summed across the word by one multiply that leaves the total in the
+    top byte; no partial sum passes 128, so no byte carries into the next.
+    Returning frees the translated copy before the walk allocates its own."""
+    words = np.ndarray((rows, 2), "<u8", block.translate(_POPCOUNT_T))
+    ones = words[:, 0] + words[:, 1]
+    ones *= np.uint64(0x0101010101010101)
+    ones >>= np.uint64(56)
+    return ones.view(np.int64)
 
 
 class _ByteStats:
@@ -197,11 +214,15 @@ class _BitStats:
     """Single-pass accumulator behind the four-test bit battery.
 
     Works on whole bytes through the 256-entry tables, so no bit is ever
-    expanded. The walk S_k is taken one 128-bit row (16 bytes, one
-    block-frequency block) at a time: each read's whole rows are laid out
-    byte-major, so byte i of every row is contiguous, the walk inside a row
-    is 15 int16 adds, and only the row totals go through a cumulative sum.
-    Only the last read can end inside a row; ``report`` walks its tail.
+    expanded. Each read's whole 128-bit rows (16 bytes, one block-frequency
+    block) are counted first: one popcount pass and a sum per row give the
+    ones in every row, hence block frequency, and one cumulative sum gives
+    the walk S_k at every row end. A row's ones bound its walk, and only
+    the rows whose bound passes the read's lowest or highest row end, or
+    the running extreme, are walked byte by byte: they are gathered and
+    laid out byte-major, so byte i of every such row is contiguous, and the
+    walk inside a row is 15 int16 adds. Only the last read can end inside a
+    row; ``report`` walks its tail.
     """
 
     def __init__(self):
@@ -232,36 +253,53 @@ class _BitStats:
         self.tail = block[rows * _BLOCK_FREQ_BYTES:]
         if not rows:
             return
-        whole = np.frombuffer(block, np.uint8, count=rows * _BLOCK_FREQ_BYTES)
-        cols = whole.reshape(rows, -1).T.tobytes()    # byte i of every row together
+        dev = _row_ones(block, rows)
+        dev -= 64                   # ones - 64; S rises by 2 * dev over the row
 
-        def table(t):
-            return np.frombuffer(cols.translate(t), np.int8).reshape(-1, rows)
-
-        # walk[i, r] = S at the end of byte i of row r, relative to the row's
-        # start; int16 is exact, as |walk| <= 128. These row adds run about
-        # 3x faster than np.cumsum along axis 0.
-        step = table(_STEP_T)
-        walk = np.empty(step.shape, np.int16)
-        walk[0] = step[0]
-        for i in range(1, _BLOCK_FREQ_BYTES):
-            np.add(walk[i - 1], step[i], out=walk[i])
-
-        # Block frequency: a row over which S rises by d holds (128 + d) / 2
-        # ones, so (ones - 64)^2 = d^2 / 4. int32 row ends are exact: a read
-        # holds at most BLOCK_BYTES = 2^20 bytes, so |S| <= 2^23.
-        d = walk[-1]
-        self.bf_sum_sq += int(np.einsum("i,i", d, d, dtype=np.int64)) // 4
+        # Block frequency sums dev^2. ends[r] is S at the end of row r,
+        # relative to self.running.
+        self.bf_sum_sq += int(dev @ dev)
         self.bf_blocks += rows
-        ends = np.cumsum(d, dtype=np.int32)
-        starts = ends - d
+        ends = np.cumsum(dev)
+        ends *= 2
 
-        # Cumulative sums: each byte's in-byte extremes, offset from the
-        # walk at its end, bound every S_k it contributes.
-        walk += table(_LOW_T)
-        self.min_s = min(self.min_s, self.running + int((starts + walk.min(axis=0)).min()))
-        walk += table(_SPAN_T)
-        self.max_s = max(self.max_s, self.running + int((starts + walk.max(axis=0)).max()))
+        # Cumulative sums. A row that ends at e and holds k ones stays within
+        # [e - k, e - k + 128]: its walk falls below e by at most its ones
+        # and rises above its start by at most them. Row ends are values of
+        # S, so only a row whose bound passes strictly beyond the lowest or
+        # highest of them, or the running extreme, can hold a new extreme.
+        bottom = min(self.min_s - self.running, int(ends.min()))
+        top = max(self.max_s - self.running, int(ends.max()))
+        low = np.subtract(ends, dev, out=dev)   # dev is not read again
+        low -= 64                   # e - k
+        walked = np.flatnonzero((low < bottom) | (low > top - _BLOCK_FREQ_BITS))
+        if walked.size:
+            # Byte i of every walked row together. np.take copies whole rows
+            # many times faster than whole[walked].
+            whole = np.ndarray((rows, _BLOCK_FREQ_BYTES), np.uint8, block)
+            cols = np.take(whole, walked, axis=0).T.tobytes()
+
+            def table(t):
+                return np.frombuffer(cols.translate(t), np.int8).reshape(-1, walked.size)
+
+            # walk[i, r] = S at the end of byte i of row r, relative to the
+            # row's start; int16 is exact, as |walk| <= 128. These row adds
+            # run about 3x faster than np.cumsum along axis 0.
+            step = table(_STEP_T)
+            walk = np.empty(step.shape, np.int16)
+            walk[0] = step[0]
+            for i in range(1, _BLOCK_FREQ_BYTES):
+                np.add(walk[i - 1], step[i], out=walk[i])
+
+            # Each byte's in-byte extremes, offset from the walk at its end,
+            # bound every S_k it contributes.
+            starts = ends[walked] - walk[-1]
+            walk += table(_LOW_T)
+            bottom = min(bottom, int((starts + walk.min(axis=0)).min()))
+            walk += table(_SPAN_T)
+            top = max(top, int((starts + walk.max(axis=0)).max()))
+        self.min_s = self.running + bottom
+        self.max_s = self.running + top
         self.running += int(ends[-1])
 
     def report(self) -> NistLiteReport:

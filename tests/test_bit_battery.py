@@ -92,19 +92,32 @@ def oracle_nist_lite(src) -> NistLiteReport:
     )
 
 
+# Rows whose walk dips 64 below both ends, or rises 64 above them, at the
+# row's middle bit.
+DIP = b"\x00" * 8 + b"\xff" * 8
+PEAK = b"\xff" * 8 + b"\x00" * 8
+
+
 @st.composite
 def corpora(draw):
-    """Uniform, biased and constant inputs whose length is not a whole
-    number of 128-bit blocks."""
+    """Uniform, biased, constant and interior-extreme inputs whose length is
+    not a whole number of 128-bit blocks. Interior-extreme inputs are uniform
+    rows with DIP and PEAK rows written over some of them."""
     n = draw(st.integers(16, 5000).filter(lambda k: k % 16))
-    kind = draw(st.sampled_from(("uniform", "biased", "constant")))
+    kind = draw(st.sampled_from(("uniform", "biased", "constant", "interior")))
     if kind == "constant":
         return bytes([draw(st.integers(0, 255))]) * n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "biased":
+        p_one = draw(st.floats(0.0, 1.0))
+        return np.packbits(rng.random(8 * n) < p_one).tobytes()
+    data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
     if kind == "uniform":
-        return rng.integers(0, 256, n, dtype=np.uint8).tobytes()
-    p_one = draw(st.floats(0.0, 1.0))
-    return np.packbits(rng.random(8 * n) < p_one).tobytes()
+        return data
+    rows = bytearray(data)
+    for r in draw(st.lists(st.integers(0, n // 16 - 1), min_size=1, max_size=8)):
+        rows[16 * r:16 * r + 16] = draw(st.sampled_from((DIP, PEAK)))
+    return bytes(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -150,21 +163,129 @@ ROW_FILLS = {
 }
 
 
+def fed_in_reads(data: bytes, size: int) -> NistLiteReport:
+    """``_BitStats`` fed ``data`` directly in ``size``-byte reads (the last
+    may be shorter), so that a read may hold any number of whole rows."""
+    stats = randtests._BitStats()
+    for start in range(0, len(data), size):
+        block = data[start:start + size]
+        stats.update(block, np.bincount(np.frombuffer(block, np.uint8), minlength=256))
+    return stats.report()
+
+
 @pytest.mark.parametrize("block", (15, 16, 17, 31, 33))
 @pytest.mark.parametrize("tail", (0, 1, 15))
 @pytest.mark.parametrize("fill", (*ROW_FILLS, "counter"))
 def test_rows_split_across_reads_match_oracle(block, tail, fill):
-    # 128-bit rows cut at every offset against the read, with 0, 1 or 15
-    # bytes of an unfinished row left for the report.
-    for rows in (1, 2, 40):
+    # A stream's rows split across reads of `block` whole rows each, which
+    # need not be a multiple of 48 bytes when fed directly; the last read
+    # leaves 0, 1 or 15 bytes of an unfinished row for the report.
+    for rows in (1, 2, 40, 100):
         size = 16 * rows + tail
         if fill == "counter":
             data = CounterSource(f"rows-{size}").read_bytes(size)
         else:
             data = ROW_FILLS[fill] * size
-        with mock.patch.object(randtests, "BLOCK_BYTES", block):
-            got = nist_lite(io.BytesIO(data))
+        got = fed_in_reads(data, 16 * block)
         assert got == oracle_nist_lite(io.BytesIO(data)), size
+
+
+# The walk is taken byte by byte only over rows whose bound can hold a new
+# extreme; these inputs put such rows at the edges of the reads.
+BOUNDED_BLOCKS = (1 << 20, 4099, 48)
+
+
+def rows_per_read(block: int) -> int:
+    """Whole rows in every read but the last that ``_consume`` makes at
+    ``BLOCK_BYTES = block``: the largest multiple of 48 bytes, at least 48."""
+    return max(48, block - block % 48) // 16
+
+
+def assert_bounded_walk_matches_oracle(data: bytes, block: int) -> None:
+    """``nist_lite`` at ``BLOCK_BYTES = block`` and ``_BitStats`` fed the
+    same reads directly both equal the bit-level oracle."""
+    want = oracle_nist_lite(io.BytesIO(data))
+    with mock.patch.object(randtests, "BLOCK_BYTES", block):
+        assert nist_lite(io.BytesIO(data)) == want
+    assert fed_in_reads(data, 16 * rows_per_read(block)) == want
+
+
+def tilted_rows(label: str, rows: int, falling: bool) -> bytes:
+    """CounterSource rows with two bits of every byte cleared (falling) or
+    set, so that the walk drifts about 16 per row."""
+    raw = np.frombuffer(CounterSource(label).read_bytes(16 * rows), np.uint8)
+    return (raw & 0xEE if falling else raw | 0x11).tobytes()
+
+
+@pytest.mark.parametrize("block", BOUNDED_BLOCKS)
+@pytest.mark.parametrize("where", ("first", "middle", "last"))
+@pytest.mark.parametrize("row", (DIP, PEAK), ids=("dip", "peak"))
+def test_extreme_strictly_inside_a_row_matches_oracle(row, where, block):
+    # The walk falls to the DIP row and rises after it (the mirror for
+    # PEAK), so the stream's extreme is the row's middle bit, which no row
+    # end reaches. The row is the first, middle or last whole row of the
+    # second read.
+    per_read = rows_per_read(block)
+    at = per_read + {"first": 0, "middle": per_read // 2, "last": per_read - 1}[where]
+    data = (tilted_rows("inside-before", at, falling=row == DIP) + row
+            + tilted_rows("inside-after", 3, falling=row == PEAK) + b"\x5a")
+    bits = np.unpackbits(np.frombuffer(data, np.uint8)).view(np.int8)
+    walk = np.cumsum(2 * bits - 1, dtype=np.int32)
+    extreme = walk.min() if row == DIP else walk.max()
+    assert np.flatnonzero(walk == extreme).tolist() == [128 * at + 63]
+    assert_bounded_walk_matches_oracle(data, block)
+
+
+AA = b"\xaa" * 16                     # stays within [0, 1] above its start
+DIP65 = b"\x00" * 8 + b"\x7f" + b"\xff" * 7  # 65 zeros, then 63 ones
+BOUND_EDGES = {
+    # One read of 3 rows: the DIP's bound, [-64, 64], ties the last row's
+    # end at -64 and the middle row's end at +64.
+    "row-end-tie": DIP + b"\xff" * 8 + b"\xaa" * 8 + b"\x00" * 16,
+    # PEAK and DIP set the running extremes to +64 and -64, in an earlier
+    # read when reads hold 1 or 3 rows. Then a second DIP's bound ties
+    # the running minimum, and DIP65's passes it by one.
+    "running-tie": PEAK + DIP + AA + DIP,
+    "running-past": PEAK + DIP + AA + DIP65,
+}
+
+
+@pytest.mark.parametrize("block", BOUNDED_BLOCKS)
+@pytest.mark.parametrize("mirror", (False, True), ids=("min", "max"))
+@pytest.mark.parametrize("edge", BOUND_EDGES)
+def test_bound_that_ties_or_passes_the_extreme_matches_oracle(edge, mirror, block):
+    # A row whose bound equals an extreme cannot pass it, so it need not
+    # be walked; one that passes it by one must be. Complementing every
+    # bit mirrors the walk, minimum to maximum.
+    data = BOUND_EDGES[edge]
+    if mirror:
+        data = bytes(b ^ 0xFF for b in data)
+    assert_bounded_walk_matches_oracle(data + b"\x3c", block)
+    for rows in (1, 3):
+        assert fed_in_reads(data, 16 * rows) == oracle_nist_lite(io.BytesIO(data))
+
+
+def walked_rows(data: bytes, block: int) -> int:
+    """Rows that ``nist_lite`` at ``BLOCK_BYTES = block`` walks byte by byte;
+    the walk gathers them with one ``np.take`` per read."""
+    with mock.patch.object(randtests, "BLOCK_BYTES", block), \
+            mock.patch.object(np, "take", wraps=np.take) as take:
+        nist_lite(io.BytesIO(data))
+    return sum(len(call.args[1]) for call in take.call_args_list)
+
+
+@pytest.mark.parametrize("block", BOUNDED_BLOCKS)
+@pytest.mark.parametrize("fill, walked", (
+    (b"\x55", "all"),     # every row ends where it starts: each could
+    (b"\xaa", "all"),     # hold an extreme
+    (b"\x00", "none"),    # the walk is monotone, so its extremes
+    (b"\xff", "none"),    # are row ends
+))
+def test_constant_fills_walk_all_or_no_rows(fill, walked, block):
+    rows = 3 * rows_per_read(4099) + 2
+    data = fill * (16 * rows + 7)
+    assert walked_rows(data, block) == (rows if walked == "all" else 0)
+    assert_bounded_walk_matches_oracle(data, block)
 
 
 def test_cusum_extreme_spanning_reads_matches_oracle():

@@ -70,16 +70,17 @@ class OracleByteStats(randtests._ByteStats):
         return num / den, True
 
 
-def oracle_stats(data: bytes) -> OracleByteStats:
+def oracle_stats(data: bytes, size: int = ORACLE_BLOCK_BYTES) -> OracleByteStats:
+    """The oracle fed ``data`` in ``size``-byte blocks of any length."""
     stats = OracleByteStats()
-    for start in range(0, len(data), ORACLE_BLOCK_BYTES):
-        block = data[start:start + ORACLE_BLOCK_BYTES]
+    for start in range(0, len(data), size):
+        block = data[start:start + size]
         stats.update(block, np.bincount(np.frombuffer(block, dtype=np.uint8), minlength=256))
     return stats
 
 
-def assert_matches_oracle(data: bytes) -> None:
-    oracle = oracle_stats(data)
+def assert_matches_oracle(data: bytes, oracle_block: int = ORACLE_BLOCK_BYTES) -> None:
+    oracle = oracle_stats(data, oracle_block)
     assert ent_analyze(io.BytesIO(data)) == oracle.report()
     assert monte_carlo_pi(io.BytesIO(data)) == oracle.monte_carlo_pi()
     assert serial_correlation(io.BytesIO(data)) == oracle.serial_correlation()
@@ -115,8 +116,11 @@ def test_byte_battery_matches_oracle_across_full_blocks():
 @pytest.mark.parametrize("block", range(1, 13))
 def test_monte_carlo_edge_points_split_across_blocks(block):
     # (2^24 - 1, 0) lies on the circle, so inside; (2^24 - 1, 1) lies outside.
-    data = b"\xff\xff\xff\x00\x00\x00" + b"\xff\xff\xff\x00\x00\x01"
-    with mock.patch.object(randtests, "BLOCK_BYTES", block):
+    # Reads of 48 * block bytes hold 8 * block points: the first read holds
+    # only inside points and the second only outside ones.
+    inside, outside = b"\xff\xff\xff\x00\x00\x00", b"\xff\xff\xff\x00\x00\x01"
+    data = inside * (8 * block) + outside * (8 * block)
+    with mock.patch.object(randtests, "BLOCK_BYTES", 48 * block):
         assert monte_carlo_pi(io.BytesIO(data)) == 2.0
         assert_matches_oracle(data)
 
@@ -147,9 +151,13 @@ def test_monte_carlo_reads_no_byte_past_a_whole_point_block(points):
 @pytest.mark.parametrize("extra", range(1, 6))
 @pytest.mark.parametrize("points", (1, 2, 1000))
 def test_monte_carlo_leftover_bytes_carry_to_the_next_block(points, extra):
-    data = CounterSource(f"mc-carry-{points}-{extra}").read_bytes(5 * (6 * points + extra) + 3)
-    with mock.patch.object(randtests, "BLOCK_BYTES", 6 * points + extra):
-        assert_matches_oracle(data)
+    # The oracle reads blocks of 6 * points + extra bytes, so the leftover
+    # bytes of each carry to the next; the statistics read whole points at
+    # the same BLOCK_BYTES, and both must count the same points.
+    size = 6 * points + extra
+    data = CounterSource(f"mc-carry-{points}-{extra}").read_bytes(5 * size + 3)
+    with mock.patch.object(randtests, "BLOCK_BYTES", size):
+        assert_matches_oracle(data, oracle_block=size)
 
 
 @pytest.mark.parametrize("points", (1, 2, 1000))

@@ -131,7 +131,9 @@ def test_streaming_matches_oracle_on_varied_corpora():
 
 def test_streaming_is_block_boundary_invariant(monkeypatch):
     # one-pass accumulators must not care how reads split the stream;
-    # an odd block size exercises every carry path
+    # at BLOCK_BYTES 9973 the stream is read in 9936-byte pieces, so the
+    # serial products cross 30 seams and a short last read ends in a byte
+    # that is no whole point
     data = CounterSource("split").read_bytes(300_001)
     whole = ent_analyze(io.BytesIO(data))
     monkeypatch.setattr("permwhite.randtests.BLOCK_BYTES", 9973)
