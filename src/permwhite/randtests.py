@@ -8,15 +8,16 @@ smaller battery computes four of the NIST SP 800-22 tests: monobit
 frequency, block frequency with 128-bit blocks, runs, and cumulative sums
 in both directions.
 
-Everything is computed in one streaming pass with bounded memory, using
-exact integer accumulators throughout: the Monte Carlo coordinates are read
-as 24-bit fields of big-endian words and squared in int64. ``analyze`` feeds
-both batteries from a single read; the bit battery works on whole bytes
-through 256-entry tables and never expands a byte into bits. It counts
-each 128-bit row's ones, which give block frequency and the walk at every
-row end, and walks byte by byte only the rows whose ones leave room for a
-new extreme of the cumulative sums. Every read but the last holds whole
-points and rows.
+Everything is computed in one streaming pass with bounded memory, and
+every sum is exact: the Monte Carlo coordinates are read as 24-bit fields
+of big-endian words and squared in int64, and the serial products are
+summed in float32 rows of 256, whose partial sums stay integers below
+2^24 that float32 holds exactly. ``analyze`` feeds both batteries from a
+single read; the bit battery works on whole bytes through 256-entry tables
+and never expands a byte into bits. It counts each 128-bit row's ones,
+which give block frequency and the walk at every row end, and walks byte
+by byte only the rows whose ones leave room for a new extreme of the
+cumulative sums. Every read but the last holds whole points and rows.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ IDEAL_VALUES = {
 }
 
 _MC_RADIUS_SQ = (2**24 - 1) ** 2
+_CROSS_ROW = 256            # serial products per float32 row: 256 * 255^2 < 2^24
 _BLOCK_FREQ_BITS = 128
 _NIST_ALPHA = 0.01
 
@@ -140,13 +142,22 @@ class _ByteStats:
 
     def update(self, block: bytes, counts: np.ndarray) -> None:
         """Every block but the last holds whole 6-byte points."""
-        # einsum sums the uint8 products, the previous block's last byte
-        # prepended, in int64 without a widened copy of the block.
+        # The products of adjacent bytes, the previous block's last byte
+        # prepended, are summed by einsum in float32 rows of _CROSS_ROW, cast
+        # inside its buffer so that no widened copy of the block is made. A
+        # row sums to at most 256 * 255^2 < 2^24, so every partial sum is an
+        # integer that float32 holds exactly, in any order; the row sums add
+        # in float64, and the products after the last whole row in int64.
         self.counts += counts
         self.n += len(block)
         self.first = self.first or block[:1]
         a = np.frombuffer(self.last + block, np.uint8)
-        self.cross_sum += int(np.einsum("i,i", a[:-1], a[1:], dtype=np.int64))
+        rows = (a.size - 1) // _CROSS_ROW
+        w = rows * _CROSS_ROW
+        row_sums = np.einsum("ij,ij->i", a[:w].reshape(rows, _CROSS_ROW),
+                             a[1:w + 1].reshape(rows, _CROSS_ROW), dtype=np.float32)
+        self.cross_sum += int(row_sums.sum(dtype=np.float64))
+        self.cross_sum += int(np.einsum("i,i", a[w:-1], a[w + 1:], dtype=np.int64))
         self.last = block[-1:]
 
         points = len(block) // 6

@@ -1,6 +1,7 @@
 """The byte battery against an exact oracle: the streaming update written the
 long way, with int64 copies and a first-block branch."""
 
+import functools
 import io
 from unittest import mock
 
@@ -88,15 +89,18 @@ def assert_matches_oracle(data: bytes, oracle_block: int = ORACLE_BLOCK_BYTES) -
 
 @st.composite
 def corpora(draw):
-    """Uniform, biased and constant inputs of 6 to 5000 bytes, most of
-    them not a whole number of 6-byte Monte Carlo points."""
+    """Uniform, biased, constant and high-byte inputs of 6 to 5000 bytes,
+    most of them not a whole number of 6-byte Monte Carlo points. High
+    bytes (0xF0..0xFF) put the serial products' float32 row sums near 2^24."""
     n = draw(st.integers(6, 5000))
-    kind = draw(st.sampled_from(("uniform", "biased", "constant")))
+    kind = draw(st.sampled_from(("uniform", "biased", "constant", "high")))
     if kind == "constant":
         return bytes([draw(st.integers(0, 255))]) * n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "uniform":
         return rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+    if kind == "high":
+        return rng.integers(0xF0, 256, n, dtype=np.uint8).tobytes()
     p_one = draw(st.floats(0.0, 1.0))
     return np.packbits(rng.random(8 * n) < p_one).tobytes()
 
@@ -169,3 +173,55 @@ def test_monte_carlo_edge_points_end_a_block(points):
     stats, oracle = fed_in_blocks(data, 6 * points)
     assert (stats.mc_inside, stats.mc_points) == (oracle.mc_inside, oracle.mc_points)
     assert stats.report() == oracle.report()
+
+
+# Lengths around one and two 256-product rows and around a 1 MiB read.
+CROSS_LENGTHS = (1, 2, 255, 256, 257, 258, 511, 512, 513,
+                 (1 << 20) - 1, 1 << 20, (1 << 20) + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def high_corpus(kind: str, length: int) -> bytes:
+    """All 0xFF, or seeded random bytes in 0xF0..0xFF: the largest serial
+    products, whose 256-product rows sum to just under 2^24 or near it."""
+    if kind == "ff":
+        return b"\xff" * length
+    rng = np.random.default_rng(length)
+    return rng.integers(0xF0, 256, length, dtype=np.uint8).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_cross_sum(data: bytes) -> int:
+    """Sum of data[i] * data[i + 1], in Python integers."""
+    return sum(x * y for x, y in zip(data, data[1:]))
+
+
+def oracle_serial_correlation(data: bytes) -> tuple[float, bool]:
+    """The circular lag-1 correlation from Python integer sums."""
+    n = len(data)
+    sum_x = sum(data)
+    sum_x2 = sum(x * x for x in data)
+    sum_xy = oracle_cross_sum(data) + data[-1] * data[0]
+    den = n * sum_x2 - sum_x * sum_x
+    if den == 0:
+        return 0.0, False
+    return (n * sum_xy - sum_x * sum_x) / den, True
+
+
+@pytest.mark.parametrize("block", (1 << 20, 4099, 48, None))
+@pytest.mark.parametrize("length", CROSS_LENGTHS)
+@pytest.mark.parametrize("kind", ("ff", "high"))
+def test_cross_sum_is_exact_at_the_float32_row_bound(kind, length, block):
+    # Read as ent_analyze and serial_correlation read, at BLOCK_BYTES = block,
+    # or fed to one update when block is None. The correlation of all 0xFF
+    # is undefined, so the cross sum is checked by itself too.
+    data = high_corpus(kind, length)
+    if block is None:
+        stats = randtests._ByteStats()
+        stats.update(data, np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256))
+    else:
+        with mock.patch.object(randtests, "BLOCK_BYTES", block):
+            (stats,) = randtests._consume(io.BytesIO(data), randtests._ByteStats())
+    assert stats.cross_sum == oracle_cross_sum(data)
+    if length >= 2:
+        assert stats.serial_correlation() == oracle_serial_correlation(data)
