@@ -1,7 +1,11 @@
 """XOR combiner and Von Neumann extractor."""
 
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +13,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permwhite._util import BLOCK_BYTES
-from permwhite.baselines import von_neumann, xor_combine
+from permwhite.baselines import _VN_STEP, von_neumann, xor_combine
 from permwhite.entropy import CounterSource
 
 
 class OneByteReads(io.BytesIO):
     def read(self, n=-1):
         return super().read(1 if n is None or n < 0 else min(1, n))
+
+
+class ShortReads(io.BytesIO):
+    """Returns between 1 and 97 bytes per read, drawn from ``rng``."""
+
+    def __init__(self, data, rng):
+        super().__init__(data)
+        self.rng = rng
+
+    def read(self, n=-1):
+        size = self.rng.randint(1, 97)
+        return super().read(size if n is None or n < 0 else min(size, n))
 
 
 def xor_bytes(a, b):
@@ -164,3 +180,60 @@ def test_vn_never_expands_bytes_into_bits():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+@given(st.binary(max_size=4000), st.randoms(use_true_random=False))
+def test_vn_matches_scalar_oracle(data, rng):
+    expected = scalar_vn(data)
+    assert vn_bytes(data) == expected
+    out = io.BytesIO()
+    count = von_neumann(ShortReads(data, rng), out)
+    assert (out.getvalue(), count) == expected
+
+
+def bit_vn(data):
+    """The pair rule on unpacked bits: keep the first bit of each unequal
+    pair. Unlike ``scalar_vn``, fast enough for inputs of several steps."""
+    pairs = np.unpackbits(np.frombuffer(data, np.uint8)).reshape(-1, 2)
+    kept = pairs[pairs[:, 0] != pairs[:, 1], 0]
+    return np.packbits(kept).tobytes(), kept.size
+
+
+def alternating_runs(n):
+    # 16-byte runs of 0xAA then 0x00: each 0xAA run emits 64 one bits, so
+    # the zero-count fields of each 0x00 run start on a 32-bit word boundary,
+    # and a full step ends with them, at exactly its total bit count.
+    return (b"\xaa" * 16 + b"\x00" * 16) * (n // 32 + 1)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("d", [-9, -8, -1, 0, 1, 7, 8, 9])
+@pytest.mark.parametrize("fill", [
+    lambda n: b"\xaa" * n,   # every output word is 0xFFFFFFFF
+    lambda n: b"\x55" * n,   # full fields; the carry lands on multiples of 32
+    alternating_runs,        # zero-count fields at word boundaries
+    # a partial word carries over each step boundary
+    lambda n: CounterSource("vn-steps").read_bytes(n),
+], ids=["aa", "55", "aa-00-runs", "counter"])
+def test_vn_step_boundaries(k, d, fill):
+    data = fill(k * _VN_STEP + d)[:k * _VN_STEP + d]
+    assert vn_bytes(data) == bit_vn(data)
+
+
+def test_word_table_is_built_on_first_use():
+    # evaluate's peak RSS and start-up time are taken in fresh processes
+    # that import the CLI; the 256 KiB table must not be built there.
+    code = (
+        "import io, permwhite.cli\n"
+        "from permwhite import baselines\n"
+        "assert baselines._word_codes.cache_info().currsize == 0\n"
+        "baselines.von_neumann(io.BytesIO(b'\\x69'), io.BytesIO())\n"
+        "info = baselines._word_codes.cache_info()\n"
+        "assert (info.currsize, info.misses) == (1, 1), info\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
