@@ -75,7 +75,12 @@ class IndexPermutation:
     def invert(self) -> "IndexPermutation":
         inv = np.empty(self.size, dtype=np.uint32)
         inv[self.map] = np.arange(self.size, dtype=np.uint32)
-        return IndexPermutation(inv)
+        inv.setflags(write=False)
+        # The inverse of a checked bijection is one, so the constructor's
+        # checks are not run again.
+        out = object.__new__(IndexPermutation)
+        out.size, out.map = self.size, inv
+        return out
 
     def compose(self, other: "IndexPermutation") -> "IndexPermutation":
         """Permutation equivalent to applying ``other`` first, then ``self``."""

@@ -9,11 +9,15 @@ frequency, block frequency with 128-bit blocks, runs, and cumulative sums
 in both directions.
 
 Everything is computed in one streaming pass with bounded memory, and
-every sum is exact: the Monte Carlo coordinates are read as 24-bit fields
-of big-endian words and squared in int64, and the serial products are
-summed in float32 rows of 256, whose partial sums stay integers below
+every sum is exact. The byte histogram is one ``np.bincount`` of each
+read's uint16 byte pairs, folded to 256 bins. The Monte Carlo coordinates
+are read as 24-bit fields of big-endian words; their sum of squares is
+screened in float32, which is within 2^25 of the exact sum, and the few
+points that close to the circle are decided in int64. The serial products
+are summed in float32 rows of 256, whose partial sums stay integers below
 2^24 that float32 holds exactly. ``analyze`` feeds both batteries from a
-single read; the bit battery works on whole bytes through 256-entry tables
+single read, and one scratch array made per pass holds the temporaries of
+every read; the bit battery works on whole bytes through 256-entry tables
 and never expands a byte into bits. It counts each 128-bit row's ones,
 which give block frequency and the walk at every row end, and walks byte
 by byte only the rows whose ones leave room for a new extreme of the
@@ -42,6 +46,11 @@ IDEAL_VALUES = {
 }
 
 _MC_RADIUS_SQ = (2**24 - 1) ** 2
+# X^2 + Y^2 summed in float32 is within 2^25 of the exact sum (below), so a
+# point at or under _MC_SURELY_IN is inside and one over _MC_SURELY_OUT is
+# outside; both are exact float32 values. Points between are decided in int64.
+_MC_SURELY_IN = np.float32(2.0**48 - 2.0**26)
+_MC_SURELY_OUT = np.float32(2.0**48 + 2.0**25)
 _CROSS_ROW = 256            # serial products per float32 row: 256 * 255^2 < 2^24
 _BLOCK_FREQ_BITS = 128
 _NIST_ALPHA = 0.01
@@ -140,24 +149,29 @@ class _ByteStats:
         self.mc_inside = 0
         self.mc_points = 0
 
-    def update(self, block: bytes, counts: np.ndarray) -> None:
-        """Every block but the last holds whole 6-byte points."""
-        # The products of adjacent bytes, the previous block's last byte
-        # prepended, are summed by einsum in float32 rows of _CROSS_ROW, cast
-        # inside its buffer so that no widened copy of the block is made. A
-        # row sums to at most 256 * 255^2 < 2^24, so every partial sum is an
-        # integer that float32 holds exactly, in any order; the row sums add
-        # in float64, and the products after the last whole row in int64.
+    def update(self, block: bytes, counts: np.ndarray, work=None) -> None:
+        """Every block but the last holds whole 6-byte points. ``work`` is
+        scratch of at least ``17 * (len(block) // 6)`` bytes; a new array
+        when None."""
+        # The products of adjacent bytes are summed by einsum in float32 rows
+        # of _CROSS_ROW, cast inside its buffer so that no widened copy of the
+        # block is made. A row sums to at most 256 * 255^2 < 2^24, so every
+        # partial sum is an integer that float32 holds exactly, in any order;
+        # the row sums add in float64, and the products after the last whole
+        # row in int64. The product across the seam with the previous block
+        # is added on its own.
         self.counts += counts
         self.n += len(block)
         self.first = self.first or block[:1]
-        a = np.frombuffer(self.last + block, np.uint8)
+        a = np.frombuffer(block, np.uint8)
         rows = (a.size - 1) // _CROSS_ROW
         w = rows * _CROSS_ROW
         row_sums = np.einsum("ij,ij->i", a[:w].reshape(rows, _CROSS_ROW),
                              a[1:w + 1].reshape(rows, _CROSS_ROW), dtype=np.float32)
         self.cross_sum += int(row_sums.sum(dtype=np.float64))
         self.cross_sum += int(np.einsum("i,i", a[w:-1], a[w + 1:], dtype=np.int64))
+        for prev in self.last:
+            self.cross_sum += prev * block[0]
         self.last = block[-1:]
 
         points = len(block) // 6
@@ -165,12 +179,24 @@ class _ByteStats:
             return
         # Point k is block[6k:6k + 6]: X is the top 24 bits of the big-endian
         # word at 6k and Y the low 24 bits of the one at 6k + 2, so neither
-        # read passes the point's end. X^2 + Y^2 < 2^49 is summed in int64.
-        x = np.ndarray((points,), ">u4", block, 0, (6,)) >> 8
-        y = np.ndarray((points,), ">u4", block, 2, (6,)) & 0xFFFFFF
-        r2 = np.square(x, dtype=np.int64)
-        r2 += np.square(y, dtype=np.int64)
-        self.mc_inside += int(np.count_nonzero(r2 <= _MC_RADIUS_SQ))
+        # read passes the point's end. X, Y < 2^24 are exact in float32, so
+        # each rounded square is within 2^23 of X^2 or Y^2, and their rounded
+        # sum, below 2^49, within 2^24 more: within 2^25 of X^2 + Y^2 in all.
+        if work is None:
+            work = np.empty(17 * points, np.uint8)
+        x, y, r2, y2, mask = _carve(work, points, np.uint32, np.uint32,
+                                    np.float32, np.float32, np.bool_)
+        np.right_shift(np.ndarray((points,), ">u4", block, 0, (6,)), 8, out=x)
+        np.bitwise_and(np.ndarray((points,), ">u4", block, 2, (6,)), 0xFFFFFF, out=y)
+        np.square(x, out=r2, dtype=np.float32)
+        r2 += np.square(y, out=y2, dtype=np.float32)
+        inside = np.count_nonzero(np.less_equal(r2, _MC_SURELY_IN, out=mask))
+        if np.count_nonzero(np.less_equal(r2, _MC_SURELY_OUT, out=mask)) > inside:
+            near = np.flatnonzero(mask & (r2 > _MC_SURELY_IN))
+            xn = x[near].astype(np.int64)
+            yn = y[near].astype(np.int64)
+            inside += np.count_nonzero(xn * xn + yn * yn <= _MC_RADIUS_SQ)
+        self.mc_inside += int(inside)
         self.mc_points += points
 
     def entropy(self) -> float:
@@ -248,16 +274,24 @@ class _BitStats:
         self.min_s = 0           # min over k >= 0 of S_k, whole rows only
         self.max_s = 0
 
-    def update(self, block: bytes, counts: np.ndarray) -> None:
-        """Every block but the last holds whole 16-byte rows."""
+    def update(self, block: bytes, counts: np.ndarray, work=None) -> None:
+        """Every block but the last holds whole 16-byte rows. ``work`` is
+        scratch of at least ``3 * len(block)`` bytes; a new array when None."""
+        if work is None:
+            work = np.empty(3 * len(block), np.uint8)
         self.n += 8 * len(block)
         self.ones += int(counts @ POPCOUNT)
         # Runs: transitions inside each byte, then between adjacent bytes
-        # (low bit of one against the high bit of the next), the previous
-        # block's last byte prepended.
+        # (low bit of one against the high bit of the next), and across the
+        # seam with the previous block.
         self.transitions += int(counts @ INTRA)
-        a = np.frombuffer(self.last + block, np.uint8)
-        self.transitions += int(np.count_nonzero((a[:-1] & 1) != (a[1:] >> 7)))
+        a = np.frombuffer(block, np.uint8)
+        low, high, differ = _carve(work, a.size - 1, np.uint8, np.uint8, np.bool_)
+        np.bitwise_and(a[:-1], 1, out=low)
+        np.right_shift(a[1:], 7, out=high)
+        self.transitions += int(np.count_nonzero(np.not_equal(low, high, out=differ)))
+        for prev in self.last:
+            self.transitions += (prev & 1) != (block[0] >> 7)
         self.last = block[-1:]
 
         rows = len(block) // _BLOCK_FREQ_BYTES
@@ -297,10 +331,12 @@ class _BitStats:
             # row's start; int16 is exact, as |walk| <= 128. These row adds
             # run about 3x faster than np.cumsum along axis 0.
             step = table(_STEP_T)
-            walk = np.empty(step.shape, np.int16)
+            (walk,) = _carve(work, step.size, np.int16)
+            walk = walk.reshape(step.shape)
             walk[0] = step[0]
             for i in range(1, _BLOCK_FREQ_BYTES):
                 np.add(walk[i - 1], step[i], out=walk[i])
+            del step                # freed before the next table is made
 
             # Each byte's in-byte extremes, offset from the walk at its end,
             # bound every S_k it contributes.
@@ -357,17 +393,55 @@ class _BitStats:
         )
 
 
+def _carve(work: np.ndarray, count: int, *dtypes) -> list:
+    """Consecutive ``count``-element arrays of each dtype, views laid out
+    from the start of the uint8 array ``work``."""
+    sizes = [count * np.dtype(d).itemsize for d in dtypes]
+    ends = itertools.accumulate(sizes)
+    return [work[end - size:end].view(d) for d, size, end in zip(dtypes, sizes, ends)]
+
+
+def _byte_counts(block: bytes, work: np.ndarray) -> np.ndarray:
+    """The 256-bin histogram of ``block``, from one ``np.bincount`` of its
+    native uint16 pairs; ``work`` holds at least ``4 * len(block)`` bytes.
+
+    The pairs are written into an intp view of ``work``, so bincount makes
+    no widened copy. Row and column sums of the 256 x 256 pair counts give
+    the counts of one byte of each pair and of the other; an odd last byte
+    is added by hand."""
+    pairs = len(block) // 2
+    (index,) = _carve(work, pairs, np.intp)
+    index[...] = np.frombuffer(block, np.uint16, pairs)
+    square = np.bincount(index, minlength=1 << 16).reshape(256, 256)
+    counts = square.sum(axis=0) + square.sum(axis=1)
+    if len(block) % 2:
+        counts[block[-1]] += 1
+    return counts
+
+
 def _consume(src: BinaryIO, *accumulators) -> tuple:
     """Read ``src`` once, feeding every accumulator each block and its
     256-bin byte histogram; returns the accumulators. A block is the largest
-    multiple of 48 = lcm(6, 16) bytes not above ``BLOCK_BYTES``, at least 48."""
+    multiple of 48 = lcm(6, 16) bytes not above ``BLOCK_BYTES``, at least 48.
+
+    One scratch array of ``4 * size`` bytes serves the whole pass: the
+    histogram's index, then each of this module's accumulators in turn,
+    which take it as ``update``'s third argument; any other accumulator is
+    called with two. Made once, it spares the allocator a block-sized
+    request per read. Block-sized temporaries freed after every read can
+    let it return the heap's top to the kernel, which then faults the
+    pages in again on the next read, at about half the speed."""
     # Looked up here, not bound as iter_blocks' default, so that tests can
     # move block boundaries by patching this module's BLOCK_BYTES.
     size = max(48, BLOCK_BYTES - BLOCK_BYTES % 48)
+    work = np.empty(4 * size, np.uint8)
     for block in iter_blocks(src, size):
-        counts = np.bincount(np.frombuffer(block, dtype=np.uint8), minlength=256)
+        counts = _byte_counts(block, work)
         for acc in accumulators:
-            acc.update(block, counts)
+            if isinstance(acc, (_ByteStats, _BitStats)):
+                acc.update(block, counts, work)
+            else:
+                acc.update(block, counts)
     return accumulators
 
 

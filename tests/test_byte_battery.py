@@ -3,6 +3,7 @@ long way, with int64 copies and a first-block branch."""
 
 import functools
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -225,3 +226,37 @@ def test_cross_sum_is_exact_at_the_float32_row_bound(kind, length, block):
     assert stats.cross_sum == oracle_cross_sum(data)
     if length >= 2:
         assert stats.serial_correlation() == oracle_serial_correlation(data)
+
+
+def near_circle_corpus(count: int = 4096, seed: int = 25) -> bytes:
+    """``count`` 6-byte points whose X^2 + Y^2 lies within 2^27 of the
+    radius squared, on both sides: (2^24 - 1, 0) and (2^24 - 1, 1) first,
+    then Y = isqrt(R^2 + e - X^2) for random X and e in [-2^27, 2^27],
+    with X and Y swapped at random. A float32 sum of squares is off by up
+    to 2^25 here, so only an exact decision counts these points right."""
+    rng = np.random.default_rng(seed)
+    points = [(2**24 - 1, 0), (2**24 - 1, 1)]
+    while len(points) < count:
+        x = int(rng.integers(0, 2**24))
+        rest = _MC_RADIUS_SQ + int(rng.integers(-2**27, 2**27 + 1)) - x * x
+        if rest < 0:
+            continue
+        y = math.isqrt(rest)
+        if y < 2**24 and abs(x * x + y * y - _MC_RADIUS_SQ) <= 2**27:
+            points.append((y, x) if rng.integers(2) else (x, y))
+    return b"".join(x.to_bytes(3, "big") + y.to_bytes(3, "big") for x, y in points)
+
+
+@pytest.mark.parametrize("block", (1 << 20, 48))
+def test_monte_carlo_near_the_circle_matches_oracle(block):
+    data = near_circle_corpus()
+    offsets = [int.from_bytes(data[i:i + 3], "big") ** 2
+               + int.from_bytes(data[i + 3:i + 6], "big") ** 2 - _MC_RADIUS_SQ
+               for i in range(0, len(data), 6)]
+    # Points on both sides of the circle, close enough that rounding in
+    # float32 could move them across it.
+    assert min(offsets) < -2**25 and max(offsets) > 2**25
+    assert sum(-2**25 <= d <= 0 for d in offsets) > 100
+    assert sum(0 < d <= 2**25 for d in offsets) > 100
+    with mock.patch.object(randtests, "BLOCK_BYTES", block):
+        assert_matches_oracle(data)

@@ -97,6 +97,11 @@ def test_invert_worked_example():
     assert p.invert().map.tolist() == [0, 3, 1, 2]
 
 
+def test_invert_map_is_read_only_uint32():
+    inverse = IndexPermutation(EXAMPLE_MAP).invert().map
+    assert inverse.dtype == np.uint32 and not inverse.flags.writeable
+
+
 def test_compose_is_apply_after_apply():
     rng = np.random.default_rng(7)
     for _ in range(20):
