@@ -1,0 +1,67 @@
+#!/usr/bin/env bash
+# Pins of the command-line tool: a deterministic round trip whose pool,
+# output, trace and statistics bytes are fixed, and two refusals.
+#
+# Usage: ci/entry_point.sh DIR
+# Runs in DIR, which it fills with its files. The tool is called as
+# $PERMWHITE (default: permwhite, the installed script); `python` must
+# import permwhite.
+set -euo pipefail
+
+PERMWHITE=${PERMWHITE:-permwhite}
+# Unquoted, as PERMWHITE may hold a command line; `command` skips this function.
+permwhite() { command $PERMWHITE "$@"; }
+
+cd "$1"
+permwhite gen-pool --help > /dev/null
+permwhite whiten --help > /dev/null
+# A deterministic round trip: the pool, output and trace bytes are pinned.
+python -c 'import sys; from permwhite.entropy import CounterSource; sys.stdout.buffer.write(CounterSource("ci-in").read_bytes(100003))' > in.bin
+permwhite gen-pool ci.pool --n-qubits 10 --count 8 --source det
+permwhite whiten in.bin white.bin --pool ci.pool --trace run.trace --source det
+sha256sum -c - <<'SUMS'
+c0782fbba141ec0323b18c632e5fffc7e3a63e367a237e97073bd83d4b458fbb  ci.pool
+4b7acd095a32c0fb6cf72db39180b8f99eb333c917b176486867a95f0a952f69  white.bin
+12376daa51a809f000fef003fb15acf93321040807617cf3148e262071f73471  run.trace
+SUMS
+permwhite unwhiten white.bin back.bin --pool ci.pool --trace run.trace
+cmp in.bin back.bin
+# analyze imports scipy only after its pass; compare never does.
+permwhite analyze white.bin --csv r.csv > /dev/null
+test -s r.csv
+# The integer rows come from the pinned white.bin alone, so they
+# do not depend on the numpy or scipy version; nor do serial
+# correlation and Monte Carlo pi, each one Python division of
+# exact integer sums.
+grep -qx "byte_count,100003" r.csv
+grep -qx "bit_count,800024" r.csv
+grep -qx "ones_count,400180" r.csv
+grep -qx "serial_correlation,-0.012641257443903525" r.csv
+grep -qx "monte_carlo_pi,3.1367372652546948" r.csv
+# in.bin is 100,003 bytes, so its last read ends on an odd byte,
+# which the pair histogram adds by hand; fig.csv pins the
+# chi-square and mean of both files' histograms. compare also
+# runs the float32 Monte Carlo screen under the installed numpy's casting.
+permwhite compare in.bin white.bin --figure-csv fig.csv > /dev/null
+sha256sum -c - <<'SUMS'
+f08fcf9b4cd6f8e9d076f8ea783ada751a12868047c2967a3da84c5f7c70a112  fig.csv
+SUMS
+# vn places uint64-shifted fields with float64 bincounts; its bit
+# count and bytes are pinned under every numpy version.
+test "$(permwhite vn in.bin vn.bin 2>&1)" = "wrote vn.bin: 199940 bits"
+sha256sum -c - <<'SUMS'
+daa38b3373bf9f1abac7c899c991ba90478e2292d76354fc5ade9f65163c958c  vn.bin
+SUMS
+# unwhiten refuses a missing --trace (exit 2) before it reads the pool.
+rc=0
+permwhite unwhiten white.bin none.bin --pool ci.pool || rc=$?
+test "$rc" -eq 2
+test ! -e none.bin
+# A pool of another chunk size is named as such (exit 2), before
+# the chunk count of the input is compared with the trace.
+permwhite gen-pool n4.pool --n-qubits 4 --count 8 --source det
+rc=0
+permwhite unwhiten white.bin none.bin --pool n4.pool --trace run.trace 2> err.txt || rc=$?
+test "$rc" -eq 2
+grep -q "chunk size" err.txt
+test ! -e none.bin

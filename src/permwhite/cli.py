@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import stat
 import sys
 import tempfile
 
@@ -41,7 +40,6 @@ from .reports import (
 from .whitening import (
     WhitenConfig,
     check_trace,
-    frame,
     trace_load,
     trace_save,
     unwhiten_stream,
@@ -176,15 +174,8 @@ def _cmd_unwhiten(args: argparse.Namespace) -> int:
     pool = _open_pool(args, writes_trace=False)
     with open(args.trace, "rb") as fh:
         trace = trace_load(fh)
-    check_trace(pool, trace)
     with open(args.input, "rb") as src:
-        # A regular file's size is known: refuse a mismatch before writing.
-        info = os.fstat(src.fileno())
-        if stat.S_ISREG(info.st_mode):
-            chunks = frame(8 * info.st_size, pool.size)[0]
-            if chunks != len(trace):
-                raise ValueError(f"input {args.input} holds {chunks} chunks of "
-                                 f"{pool.size} bits, but the trace records {len(trace)}")
+        check_trace(pool, trace, src)
         with _atomic_output(args.output) as out:
             unwhiten_stream(src, pool, trace, out)
     print(f"wrote {args.output}", file=sys.stderr)

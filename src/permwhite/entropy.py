@@ -47,6 +47,8 @@ _BLOCK_BYTES = 8192
 _COUNTER_LIMIT = 1 << 64    # the counter is encoded in 8 bytes
 # Indexed by word width in bytes: the narrowest dtype that holds a word.
 _WORD_TYPES = (None, np.uint8, np.uint16, np.uint32, np.uint32)
+# Words per np.compress call, whose intp index of the kept words it bounds.
+_FILTER_SLICE = 1 << 18
 
 
 class EntropySource:
@@ -125,9 +127,10 @@ class EntropySource:
             # A power-of-two span never rejects; any other m fits the word's
             # dtype, where m = 256 would not. np.compress keeps the words
             # without the per-element branch of a boolean index.
-            kept = np.compress(values < m, values) if m & (m - 1) else values
-            parts.append(kept)
-            owed -= kept.size
+            for start in range(0, values.size, _FILTER_SLICE):
+                piece = values[start:start + _FILTER_SLICE]
+                parts.append(np.compress(piece < m, piece) if m & (m - 1) else piece)
+                owed -= parts[-1].size
         return np.concatenate(parts, dtype=np.uint32)
 
 

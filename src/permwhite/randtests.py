@@ -149,10 +149,9 @@ class _ByteStats:
         self.mc_inside = 0
         self.mc_points = 0
 
-    def update(self, block: bytes, counts: np.ndarray, work=None) -> None:
+    def update(self, block: bytes, counts: np.ndarray, work: np.ndarray) -> None:
         """Every block but the last holds whole 6-byte points. ``work`` is
-        scratch of at least ``17 * (len(block) // 6)`` bytes; a new array
-        when None."""
+        scratch of at least ``17 * (len(block) // 6)`` bytes."""
         # The products of adjacent bytes are summed by einsum in float32 rows
         # of _CROSS_ROW, cast inside its buffer so that no widened copy of the
         # block is made. A row sums to at most 256 * 255^2 < 2^24, so every
@@ -182,8 +181,6 @@ class _ByteStats:
         # read passes the point's end. X, Y < 2^24 are exact in float32, so
         # each rounded square is within 2^23 of X^2 or Y^2, and their rounded
         # sum, below 2^49, within 2^24 more: within 2^25 of X^2 + Y^2 in all.
-        if work is None:
-            work = np.empty(17 * points, np.uint8)
         x, y, r2, y2, mask = _carve(work, points, np.uint32, np.uint32,
                                     np.float32, np.float32, np.bool_)
         np.right_shift(np.ndarray((points,), ">u4", block, 0, (6,)), 8, out=x)
@@ -274,11 +271,9 @@ class _BitStats:
         self.min_s = 0           # min over k >= 0 of S_k, whole rows only
         self.max_s = 0
 
-    def update(self, block: bytes, counts: np.ndarray, work=None) -> None:
+    def update(self, block: bytes, counts: np.ndarray, work: np.ndarray) -> None:
         """Every block but the last holds whole 16-byte rows. ``work`` is
-        scratch of at least ``3 * len(block)`` bytes; a new array when None."""
-        if work is None:
-            work = np.empty(3 * len(block), np.uint8)
+        scratch of at least ``3 * len(block)`` bytes."""
         self.n += 8 * len(block)
         self.ones += int(counts @ POPCOUNT)
         # Runs: transitions inside each byte, then between adjacent bytes
@@ -424,13 +419,13 @@ def _consume(src: BinaryIO, *accumulators) -> tuple:
     256-bin byte histogram; returns the accumulators. A block is the largest
     multiple of 48 = lcm(6, 16) bytes not above ``BLOCK_BYTES``, at least 48.
 
-    One scratch array of ``4 * size`` bytes serves the whole pass: the
-    histogram's index, then each of this module's accumulators in turn,
-    which take it as ``update``'s third argument; any other accumulator is
-    called with two. Made once, it spares the allocator a block-sized
-    request per read. Block-sized temporaries freed after every read can
-    let it return the heap's top to the kernel, which then faults the
-    pages in again on the next read, at about half the speed."""
+    Every accumulator is called as ``update(block, counts, work)``, where
+    ``work`` is the one scratch array of ``4 * size`` bytes that serves the
+    whole pass: the histogram's index, then each accumulator in turn. Made
+    once, it spares the allocator a block-sized request per read.
+    Block-sized temporaries freed after every read can let it return the
+    heap's top to the kernel, which then faults the pages in again on the
+    next read, at about half the speed."""
     # Looked up here, not bound as iter_blocks' default, so that tests can
     # move block boundaries by patching this module's BLOCK_BYTES.
     size = max(48, BLOCK_BYTES - BLOCK_BYTES % 48)
@@ -438,10 +433,7 @@ def _consume(src: BinaryIO, *accumulators) -> tuple:
     for block in iter_blocks(src, size):
         counts = _byte_counts(block, work)
         for acc in accumulators:
-            if isinstance(acc, (_ByteStats, _BitStats)):
-                acc.update(block, counts, work)
-            else:
-                acc.update(block, counts)
+            acc.update(block, counts, work)
     return accumulators
 
 

@@ -24,6 +24,8 @@ selects it.
 from __future__ import annotations
 
 import functools
+import os
+import stat
 import struct
 import zlib
 from dataclasses import dataclass
@@ -118,14 +120,25 @@ def whiten_stream(
                           indices=np.frombuffer(recorded, dtype="<u4"))
 
 
-def check_trace(pool: MatrixPool, trace: SelectionTrace) -> None:
-    """Raise ValueError unless ``pool`` has ``trace``'s chunk size and members."""
+def check_trace(pool: MatrixPool, trace: SelectionTrace,
+                input: Optional[BinaryIO] = None) -> None:
+    """Raise ValueError unless ``pool`` has ``trace``'s chunk size and members,
+    and a regular file ``input`` holds ``len(trace)`` chunks past its position."""
     if trace.chunk_bits != pool.size:
         raise ValueError(f"trace chunk size {trace.chunk_bits} != pool chunk size {pool.size}")
     top = int(trace.indices.max(initial=0))
     if top >= pool.count:
         raise ValueError(f"trace selects index {top} but the pool holds only "
                          f"{pool.count} permutations")
+    try:
+        info = os.fstat(input.fileno())
+    except (AttributeError, OSError):    # no input, or no file behind it
+        return
+    if stat.S_ISREG(info.st_mode):
+        chunks = frame(8 * max(0, info.st_size - input.tell()), pool.size)[0]
+        if chunks != len(trace):
+            raise ValueError(f"input {input.name} holds {chunks} chunks of "
+                             f"{pool.size} bits, but the trace records {len(trace)}")
 
 
 def unwhiten_stream(
@@ -137,7 +150,7 @@ def unwhiten_stream(
 ) -> None:
     """Invert a whitening run recorded in ``trace``; bit-exact recovery.
     ``workers`` is accepted for compatibility and ignored."""
-    check_trace(pool, trace)
+    check_trace(pool, trace, input)
     consumed = 0
 
     def draw(n_chunks: int) -> np.ndarray:

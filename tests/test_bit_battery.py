@@ -169,7 +169,8 @@ def fed_in_reads(data: bytes, size: int) -> NistLiteReport:
     stats = randtests._BitStats()
     for start in range(0, len(data), size):
         block = data[start:start + size]
-        stats.update(block, np.bincount(np.frombuffer(block, np.uint8), minlength=256))
+        stats.update(block, np.bincount(np.frombuffer(block, np.uint8), minlength=256),
+                     np.empty(4 * len(block), np.uint8))
     return stats.report()
 
 

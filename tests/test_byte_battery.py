@@ -138,7 +138,7 @@ def fed_in_blocks(data: bytes, size: int):
     for start in range(0, len(data), size):
         block = data[start:start + size]
         counts = np.bincount(np.frombuffer(block, dtype=np.uint8), minlength=256)
-        stats.update(block, counts)
+        stats.update(block, counts, np.empty(4 * len(block), np.uint8))
         oracle.update(block, counts)
     return stats, oracle
 
@@ -219,7 +219,8 @@ def test_cross_sum_is_exact_at_the_float32_row_bound(kind, length, block):
     data = high_corpus(kind, length)
     if block is None:
         stats = randtests._ByteStats()
-        stats.update(data, np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256))
+        stats.update(data, np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256),
+                     np.empty(4 * len(data), np.uint8))
     else:
         with mock.patch.object(randtests, "BLOCK_BYTES", block):
             (stats,) = randtests._consume(io.BytesIO(data), randtests._ByteStats())

@@ -1,6 +1,7 @@
 """Entropy sources: rejection-sampling arithmetic, determinism, uniformity."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,20 @@ def test_random_indices_reads_once_per_rejection_round():
         pos += rounds[-1]
     assert src.requests == rounds
     assert 1 < len(rounds) < 40
+
+
+def test_random_indices_memory_stays_near_its_result():
+    # 4 Mi draws at m = 5 return 16 MiB of uint32 and read 4 MiB of words
+    # in the first round. An intp index of that round's kept words, made at
+    # once, would add 20 MiB more.
+    src = CounterSource("peak")
+    tracemalloc.start()
+    try:
+        src.random_indices(5, 4 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
 
 
 def test_random_indices_empty():

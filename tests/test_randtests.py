@@ -142,13 +142,16 @@ def test_streaming_is_block_boundary_invariant(monkeypatch):
 
 
 class BlockLengths:
-    """An accumulator that only records the length of each block it is fed."""
+    """An accumulator that only records the length of each block it is fed
+    and the size of the workspace that comes with it."""
 
     def __init__(self):
         self.lengths = []
+        self.work_sizes = []
 
-    def update(self, block, counts):
+    def update(self, block, counts, work):
         self.lengths.append(len(block))
+        self.work_sizes.append(work.size)
 
 
 @pytest.mark.parametrize("block", (1, 47, 48, 49, 100, 9973))
@@ -161,6 +164,8 @@ def test_reads_hold_whole_points_and_rows(monkeypatch, block):
     assert len(spy.lengths) > 1
     assert all(n % 48 == 0 for n in spy.lengths[:-1])
     assert sum(spy.lengths) == len(data)
+    # _byte_counts needs 4 bytes of workspace per byte of a read.
+    assert all(w >= 4 * n for n, w in zip(spy.lengths, spy.work_sizes))
 
 
 def test_precondition_errors():

@@ -3,6 +3,7 @@ the trace file format, and the determinism contract."""
 
 import hashlib
 import io
+import os
 import struct
 import threading
 import tracemalloc
@@ -175,6 +176,64 @@ def test_unwhiten_trace_length_mismatch():
     long = SelectionTrace(chunk_bits=8, indices=np.zeros(9, np.uint32))
     with pytest.raises(ValueError, match="too long"):
         unwhiten_stream(io.BytesIO(b"abcd"), pool, long, io.BytesIO())
+
+
+def whitened_16bit():
+    """1001 bytes whitened in 16-bit chunks: 500 chunks and a tail byte."""
+    data = CounterSource("fit-data").read_bytes(1001)
+    pool = generate_pool(4, 3, CounterSource("fit-pool"))
+    white, trace = run_whiten(data, pool)
+    return data, pool, white, trace
+
+
+@pytest.mark.parametrize("white_len", (999, 1003), ids=["one-chunk-short", "one-chunk-long"])
+def test_unwhiten_refuses_a_file_of_another_length_before_writing(tmp_path, white_len):
+    _, pool, white, trace = whitened_16bit()
+    path = tmp_path / "white.bin"
+    path.write_bytes((white + b"xy")[:white_len])
+    sink = io.BytesIO()
+    with open(path, "rb") as src, pytest.raises(ValueError) as refused:
+        unwhiten_stream(src, pool, trace, sink)
+    chunks = (white_len - 1) // 2
+    assert str(refused.value) == (f"input {path} holds {chunks} chunks of 16 bits, "
+                                  f"but the trace records {len(trace)}")
+    assert sink.getvalue() == b""
+
+
+def test_unwhiten_measures_a_file_from_its_position(tmp_path):
+    data, pool, white, trace = whitened_16bit()
+    path = tmp_path / "white.bin"
+    path.write_bytes(b"abc" + white)
+    out = io.BytesIO()
+    with open(path, "rb") as src:
+        src.seek(3)
+        unwhiten_stream(src, pool, trace, out)
+    assert out.getvalue() == data
+    with open(path, "rb") as src:
+        src.seek(1)                 # two bytes more than white: one more chunk
+        with pytest.raises(ValueError, match=f"holds {len(trace) + 1} chunks"):
+            unwhiten_stream(src, pool, trace, io.BytesIO())
+    empty = SelectionTrace(chunk_bits=16, indices=np.zeros(0, np.uint32))
+    with open(path, "rb") as src:
+        src.seek(len(white) + 10)   # past the end, where no chunk is left
+        unwhiten_stream(src, pool, empty, io.BytesIO())
+
+
+def test_unwhiten_finds_a_pipe_of_another_length_during_the_pass():
+    # A pipe has no length to check beforehand, like the in-memory inputs
+    # of test_unwhiten_trace_length_mismatch.
+    _, pool, white, trace = whitened_16bit()
+
+    def opened(data):
+        r, w = os.pipe()
+        with open(w, "wb") as fh:
+            fh.write(data)          # well within a pipe's buffer
+        return open(r, "rb")
+
+    with opened(white + b"xy") as src, pytest.raises(ValueError, match="too short"):
+        unwhiten_stream(src, pool, trace, io.BytesIO())
+    with opened(white[:-2]) as src, pytest.raises(ValueError, match="too long"):
+        unwhiten_stream(src, pool, trace, io.BytesIO())
 
 
 def test_trace_format_hand_assembled():
