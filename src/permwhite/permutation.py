@@ -166,6 +166,18 @@ class MatrixPool:
         return len(self.permutations)
 
 
+def _header_tag(count: int, generator_tag: str) -> bytes:
+    """``generator_tag`` in UTF-8, once it and ``count`` fit the pool header."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if count >= 1 << 32:
+        raise ValueError("count must be < 2^32")
+    tag = generator_tag.encode("utf-8")
+    if len(tag) > 0xFFFF:
+        raise ValueError("generator_tag too long")
+    return tag
+
+
 def generate_pool(
     n_qubits: int,
     count: int,
@@ -173,8 +185,7 @@ def generate_pool(
     mode: str = "fullrange",
     generator_tag: str = "",
 ) -> MatrixPool:
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _header_tag(count, generator_tag)
     try:
         gen = SHUFFLE_MODES[mode]
     except KeyError:
@@ -185,9 +196,7 @@ def generate_pool(
 
 def pool_save(pool: MatrixPool, sink: BinaryIO) -> None:
     """Write the binary pool format (little-endian, CRC32 per record)."""
-    tag = pool.generator_tag.encode("utf-8")
-    if len(tag) > 0xFFFF:
-        raise ValueError("generator_tag too long")
+    tag = _header_tag(pool.count, pool.generator_tag)
     sink.write(_POOL_HEADER.pack(POOL_MAGIC, POOL_VERSION, pool.n_qubits, 0,
                                  pool.count, len(tag)))
     sink.write(tag)

@@ -3,10 +3,10 @@ chunk with a randomly selected pool member, and emit the result.
 
 Output size always equals input size. A final partial chunk (possible only
 when N > 8, since every byte then may not fill a whole chunk) is copied
-through unchanged rather than padded or dropped. Whitening runs in one
-thread: each block's selections are drawn in chunk-ordinal order, then the
-block is permuted and written. The ``workers`` keyword of ``whiten_stream``
-and ``unwhiten_stream`` is accepted for compatibility and ignored.
+through unchanged rather than padded or dropped. Each direction is one
+loop, in one thread, over the blocks that ``_blocks`` reads: whitening draws
+a block's selections in chunk-ordinal order and records them, unwhitening
+slices them from the trace; then the block is permuted and written.
 
 Two kernels permute a block's chunks, and each returns the block as one
 1-D uint8 array that is written as it is. Chunks of at most 8 bits go
@@ -103,17 +103,16 @@ def whiten_stream(
             f"config expects {cfg.pool_count}"
         )
 
+    permute = _kernel(pool, lambda m: pool.permutations[m].map)
     # One growing buffer, viewed as the trace at the end without a copy.
     recorded = bytearray() if cfg.record_selections else None
-
-    def draw(n_chunks: int) -> np.ndarray:
-        sel = selector.random_indices(pool.count, n_chunks)
+    for full, chunks, tail in _blocks(input, pool.size):
+        sel = selector.random_indices(pool.count, chunks)
         if recorded is not None:
             recorded.extend(np.ascontiguousarray(sel, dtype="<u4"))
-        return sel
-
-    _transform(input, output, pool, lambda m: pool.permutations[m].map, draw)
-
+        output.write(permute(full, sel))
+        if tail:
+            output.write(tail)
     if recorded is None:
         return None
     return SelectionTrace(chunk_bits=pool.size,
@@ -151,41 +150,33 @@ def unwhiten_stream(
     """Invert a whitening run recorded in ``trace``; bit-exact recovery.
     ``workers`` is accepted for compatibility and ignored."""
     check_trace(pool, trace, input)
-    consumed = 0
-
-    def draw(n_chunks: int) -> np.ndarray:
-        nonlocal consumed
-        if consumed + n_chunks > trace.indices.size:
-            raise ValueError(
-                f"trace too short: {trace.indices.size} entries, "
-                f"input has more than {consumed + n_chunks - 1} chunks"
-            )
-        sel = trace.indices[consumed:consumed + n_chunks]
-        consumed += n_chunks
-        return sel
-
-    _transform(input, output, pool, lambda m: pool.permutations[m].invert().map,
-               draw)
-    if consumed != trace.indices.size:
-        raise ValueError(
-            f"trace too long: {trace.indices.size} entries for {consumed} chunks"
-        )
+    permute = _kernel(pool, lambda m: pool.permutations[m].invert().map)
+    total, done = trace.indices.size, 0
+    for full, chunks, tail in _blocks(input, pool.size):
+        if done + chunks > total:
+            raise ValueError(f"trace too short: {total} entries, "
+                             f"input has more than {done + chunks - 1} chunks")
+        output.write(permute(full, trace.indices[done:done + chunks]))
+        done += chunks
+        if tail:
+            output.write(tail)
+    if done != total:
+        raise ValueError(f"trace too long: {total} entries for {done} chunks")
 
 
-def _transform(input, output, pool, member_map, draw):
-    """Shared streaming loop. ``draw(n)`` supplies pool indices per block;
-    ``member_map(m)`` is member m's index map, ``out[i] = in[map[i]]``, asked
-    for only when a kernel first needs it. ``frame()`` cuts each block into
-    chunks and a tail of whole bytes, copied through; a chunk holds at most
-    8 KiB, so only the last block has a tail."""
-    kernel = _table_kernel if pool.size <= 8 else _sliced_kernel
-    permute = kernel(pool.count, member_map, pool.size)
+def _blocks(input, chunk_bits):
+    """Each block of ``input`` as (full chunks' bytes, chunk count, tail of
+    whole bytes); a chunk holds at most 8 KiB, so only the last block has a tail."""
     for block in iter_blocks(input):
-        chunks, tail_bits = frame(8 * len(block), pool.size)
+        chunks, tail_bits = frame(8 * len(block), chunk_bits)
         full = len(block) - tail_bits // 8
-        output.write(permute(block[:full], draw(chunks)))
-        if full < len(block):
-            output.write(block[full:])
+        yield block[:full], chunks, block[full:]
+
+
+def _kernel(pool, member_map):
+    """The table kernel for chunks of at most 8 bits, else the sliced one."""
+    kernel = _table_kernel if pool.size <= 8 else _sliced_kernel
+    return kernel(pool.count, member_map, pool.size)
 
 
 def _table_kernel(count, member_map, chunk_bits):

@@ -8,6 +8,7 @@ import stat
 import struct
 import subprocess
 import sys
+import threading
 import zlib
 from pathlib import Path
 
@@ -142,6 +143,45 @@ def test_whiten_unwhiten_round_trip(tmp_path, pool_file):
                  "--trace", str(trace))
     assert rc == 0
     assert back.read_bytes() == src.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("extra, rc, said", [(0, 0, "wrote"), (2, 2, "trace too short"),
+                                             (-2, 2, "trace too long")],
+                         ids=["same-length", "one-chunk-more", "one-chunk-less"])
+def test_unwhiten_from_a_fifo(tmp_path, capsys, extra, rc, said):
+    # A FIFO has no size to check beforehand: the pass itself must refuse
+    # an input of another length, before the output is renamed into place.
+    pool, src = tmp_path / "p.pool", tmp_path / "in.bin"
+    white, trace = tmp_path / "white.bin", tmp_path / "run.trace"
+    data = CounterSource("cli-fifo").read_bytes(4_099)  # 2049 16-bit chunks, a tail byte
+    src.write_bytes(data)
+    assert run_cli("gen-pool", str(pool), "--n-qubits", "4", "--count", "3",
+                   "--source", "det", "--key", "fifo-pool") == 0
+    assert run_cli("whiten", str(src), str(white), "--pool", str(pool),
+                   "--trace", str(trace), "--source", "det") == 0
+    fed = (white.read_bytes() + b"xy")[:len(data) + extra]  # under a pipe's 64 KiB
+    fifo = tmp_path / "white.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:    # waits for the reader to open it
+            fh.write(fed)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    capsys.readouterr()                 # drop what gen-pool and whiten said
+    back = tmp_path / "back.bin"
+    assert run_cli("unwhiten", str(fifo), str(back), "--pool", str(pool),
+                   "--trace", str(trace)) == rc
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert said in capsys.readouterr().err
+    if rc == 0:
+        assert back.read_bytes() == data
+    else:
+        assert not back.exists()
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".permwhite-tmp-")] == []
 
 
 def test_whiten_is_deterministic_given_key(tmp_path, pool_file):

@@ -97,9 +97,15 @@ def test_kernel_matches_oracle_across_batches(n_qubits):
 # transpose passes that cross a slice (n=16) and a last block that ends
 # in a partial chunk (every n above 3).
 PINNED_DIGESTS = {
+    1: ("ff40d9fd6d3ab9bb8f2f5c60145cdb090a2e77973cdcf0a5c9a5d41a9426f627",
+        "556a051c166616af912981da1ae8494419ed03e4e612fba538bb6e7fbf68c062",
+        "0ba760cce3df48e866417fa9046d37b3fc878026488ab3dbc61e2ee3e7aecf97"),
     2: ("42a133885f10d1f37b95c6ba4f4444a3c4b0d3def45e134a8261ca6a0f327f5a",
         "ecfade446450ad6fb26647a9f611ed4b0bb0243114e4afe3c13f8bae6e49d9cd",
         "37aad778930df29a98776eabf7e67a6f5af8eae3d90cf1b6fed2b629f1967d73"),
+    3: ("1647e7234e29d26962172c80e269443f1910853b2fb08845b00fd8928fdf3b5e",
+        "ecc9eed714ab9f2ef7aac0d50631c3e95bf94d50e318ad6f16fa0d6a56f4a15d",
+        "bbb9e6ac3a075a5294279d1c74183cb32b2f2e9a956c76c52ab8558801b1c248"),
     4: ("250a903be5310fde72a20605ca4f86746e84b7a32697c032069d79fa020ffb5a",
         "381e74149011f1de1ae87f5473790df3277a0e36db116bee5cd76f80c57b5996",
         "e59dbda39e6c9432d5033d6cb726169ab809e69a4c6bb6cfb373bb00d42f49c4"),

@@ -10,6 +10,7 @@ from permwhite import cli
 from permwhite.cli import main
 from permwhite.entropy import CounterSource
 from permwhite.errors import PreconditionError
+from permwhite.permutation import SHUFFLE_MODES
 from permwhite.randtests import monte_carlo_pi
 
 
@@ -59,6 +60,45 @@ def test_gen_pool_with_oversized_tag_is_usage_error(tmp_path, capsys):
                "--source", "det", "--tag", tag])
     assert rc == 2
     assert "generator_tag too long" in capsys.readouterr().err
+    assert not out.exists()
+    assert leftovers(tmp_path) == []
+
+
+@pytest.fixture
+def shuffle_calls(monkeypatch):
+    """Every shuffle call is recorded and fails at once, so a refusal that
+    comes only after generating cannot run for long."""
+    calls = []
+
+    def spy(n_qubits, rng):
+        calls.append(n_qubits)
+        raise AssertionError("a shuffle ran before the refusal")
+
+    for mode in SHUFFLE_MODES:
+        monkeypatch.setitem(SHUFFLE_MODES, mode, spy)
+    return calls
+
+
+def test_gen_pool_refuses_an_oversized_tag_before_generating(tmp_path, capsys,
+                                                             shuffle_calls):
+    out = tmp_path / "p.pool"
+    rc = main(["gen-pool", str(out), "--n-qubits", "3", "--count", "2",
+               "--source", "det", "--tag", "é" * 40_000])
+    assert rc == 2
+    assert shuffle_calls == []
+    assert "generator_tag too long" in capsys.readouterr().err
+    assert not out.exists()
+    assert leftovers(tmp_path) == []
+
+
+def test_gen_pool_refuses_a_count_over_32_bits_before_generating(tmp_path, capsys,
+                                                                 shuffle_calls):
+    out = tmp_path / "p.pool"
+    rc = main(["gen-pool", str(out), "--n-qubits", "1", "--count", str(1 << 32),
+               "--source", "det"])
+    assert rc == 2
+    assert shuffle_calls == []
+    assert "count must be < 2^32" in capsys.readouterr().err
     assert not out.exists()
     assert leftovers(tmp_path) == []
 
