@@ -12,8 +12,9 @@ built-in defaults that ``COMMAND --help`` prints. Config keys are long
 option names, with dashes or underscores. gen-pool honours n_qubits, count,
 mode, tag, source, seed_file, key and counter; whiten honours pool, trace,
 source, seed_file, key and counter; unwhiten honours pool and trace. Other
-keys are ignored, so one manifest can drive a whole pipeline. ``--workers``
-(an int of at least 1) is accepted for compatibility and ignored.
+keys are ignored, so one manifest can drive a whole pipeline. whiten's
+``--workers`` (an int of at least 1) is accepted for compatibility and
+ignored; unwhiten has no such option.
 """
 
 from __future__ import annotations
@@ -134,8 +135,6 @@ def _identity(path: str):
 
 def _open_pool(args: argparse.Namespace, writes_trace: bool):
     """Load the pool after refusing an output that is the pool or the trace."""
-    if args.workers < 1:
-        raise ValueError("--workers must be at least 1")
     path = os.environ.get(POOL_ENV) if args.pool is None else args.pool
     if path is None:
         raise ValueError(f"no pool file given (use --pool or {POOL_ENV})")
@@ -150,6 +149,8 @@ def _open_pool(args: argparse.Namespace, writes_trace: bool):
 
 
 def _cmd_whiten(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
     pool = _open_pool(args, writes_trace=True)
     cfg = WhitenConfig(n_qubits=pool.n_qubits, pool_count=pool.count,
                        record_selections=args.trace is not None)
@@ -265,10 +266,6 @@ def _build_parser():
     pool_opts.add_argument("--trace", metavar="FILE",
                            help="per-chunk selection trace that whiten "
                                 "writes and unwhiten reads")
-    pool_opts.add_argument("--workers", type=int, metavar="W", default=1,
-                           help="an int of at least 1, accepted for "
-                                "compatibility and ignored: whitening runs "
-                                "in one thread")
 
     parser = argparse.ArgumentParser(
         prog="permwhite",
@@ -297,6 +294,9 @@ def _build_parser():
                        help="whiten a byte file with a pool")
     p.add_argument("input")
     p.add_argument("output")
+    p.add_argument("--workers", type=int, metavar="W", default=1,
+                   help="an int of at least 1, accepted for compatibility "
+                        "and ignored: whitening runs in one thread")
     p.set_defaults(func=_cmd_whiten)
 
     p = sub.add_parser("unwhiten", parents=[common, pool_opts],

@@ -24,7 +24,7 @@ Integer draws use rejection sampling: a draw from ``[lo, hi]`` with span
 bit length of ``s - 1``, interprets them big-endian, masks to the low ``k``
 bits, and rejects values ``>= s``. Power-of-two spans never reject, so their
 byte consumption is exactly ``ceil(k/8)`` per draw. A degenerate span
-(``lo == hi``) consumes nothing.
+(``lo == hi``, so k = 0) reads zero bytes and accepts 0: it consumes nothing.
 
 ``random_indices`` batches the draws that share one span: the selection
 draws of whitening and the swap targets of a fullrange shuffle. A subclass
@@ -45,8 +45,6 @@ from .errors import EntropyExhausted
 
 _BLOCK_BYTES = 8192
 _COUNTER_LIMIT = 1 << 64    # the counter is encoded in 8 bytes
-# Indexed by word width in bytes: the narrowest dtype that holds a word.
-_WORD_TYPES = (None, np.uint8, np.uint16, np.uint32, np.uint32)
 # Words per np.compress call, whose intp index of the kept words it bounds.
 _FILTER_SLICE = 1 << 18
 
@@ -71,8 +69,6 @@ class EntropySource:
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
-        if span == 1:
-            return lo
         k = (span - 1).bit_length()
         nbytes = (k + 7) // 8
         mask = (1 << k) - 1
@@ -83,8 +79,6 @@ class EntropySource:
 
     def random_index(self, m: int) -> int:
         """Uniform index in [0, m-1]; the scalar form of ``random_indices``."""
-        if m < 1:
-            raise ValueError("m must be >= 1")
         return self.random_int(1, m) - 1
 
     def random_indices(self, m: int, count: int) -> np.ndarray:
@@ -109,7 +103,7 @@ class EntropySource:
         k = (m - 1).bit_length()
         nbytes = (k + 7) // 8
         mask = (1 << k) - 1
-        word = _WORD_TYPES[nbytes]
+        word = np.min_scalar_type(mask)    # uint32 for 3-byte words
         # The mask cuts only the most significant byte of a word.
         top = mask >> 8 * (nbytes - 1)
         parts = []

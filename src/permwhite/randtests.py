@@ -256,7 +256,7 @@ class _BitStats:
     the running extreme, are walked byte by byte: they are gathered and
     laid out byte-major, so byte i of every such row is contiguous, and the
     walk inside a row is 15 int16 adds. Only the last read can end inside a
-    row; ``report`` walks its tail.
+    row, and its bytes after the last whole row are walked one at a time.
     """
 
     def __init__(self):
@@ -264,11 +264,10 @@ class _BitStats:
         self.ones = 0
         self.transitions = 0
         self.last = b""          # final byte of the previous block
-        self.tail = b""          # the last read's bytes after its whole rows
         self.bf_sum_sq = 0       # sum over rows of (ones_in_row - 64)^2
         self.bf_blocks = 0
-        self.running = 0         # S_k at the end of the last whole row
-        self.min_s = 0           # min over k >= 0 of S_k, whole rows only
+        self.running = 0         # S_k at the end of the last byte read
+        self.min_s = 0           # min over k >= 0 of S_k so far
         self.max_s = 0
 
     def update(self, block: bytes, counts: np.ndarray, work: np.ndarray) -> None:
@@ -290,59 +289,62 @@ class _BitStats:
         self.last = block[-1:]
 
         rows = len(block) // _BLOCK_FREQ_BYTES
-        self.tail = block[rows * _BLOCK_FREQ_BYTES:]
-        if not rows:
-            return
-        dev = _row_ones(block, rows)
-        dev -= 64                   # ones - 64; S rises by 2 * dev over the row
+        if rows:
+            dev = _row_ones(block, rows)
+            dev -= 64                   # ones - 64; S rises by 2 * dev over the row
 
-        # Block frequency sums dev^2. ends[r] is S at the end of row r,
-        # relative to self.running.
-        self.bf_sum_sq += int(dev @ dev)
-        self.bf_blocks += rows
-        ends = np.cumsum(dev)
-        ends *= 2
+            # Block frequency sums dev^2. ends[r] is S at the end of row r,
+            # relative to self.running.
+            self.bf_sum_sq += int(dev @ dev)
+            self.bf_blocks += rows
+            ends = np.cumsum(dev)
+            ends *= 2
 
-        # Cumulative sums. A row that ends at e and holds k ones stays within
-        # [e - k, e - k + 128]: its walk falls below e by at most its ones
-        # and rises above its start by at most them. Row ends are values of
-        # S, so only a row whose bound passes strictly beyond the lowest or
-        # highest of them, or the running extreme, can hold a new extreme.
-        bottom = min(self.min_s - self.running, int(ends.min()))
-        top = max(self.max_s - self.running, int(ends.max()))
-        low = np.subtract(ends, dev, out=dev)   # dev is not read again
-        low -= 64                   # e - k
-        walked = np.flatnonzero((low < bottom) | (low > top - _BLOCK_FREQ_BITS))
-        if walked.size:
-            # Byte i of every walked row together. np.take copies whole rows
-            # many times faster than whole[walked].
-            whole = np.ndarray((rows, _BLOCK_FREQ_BYTES), np.uint8, block)
-            cols = np.take(whole, walked, axis=0).T.tobytes()
+            # Cumulative sums. A row that ends at e and holds k ones stays within
+            # [e - k, e - k + 128]: its walk falls below e by at most its ones
+            # and rises above its start by at most them. Row ends are values of
+            # S, so only a row whose bound passes strictly beyond the lowest or
+            # highest of them, or the running extreme, can hold a new extreme.
+            bottom = min(self.min_s - self.running, int(ends.min()))
+            top = max(self.max_s - self.running, int(ends.max()))
+            low = np.subtract(ends, dev, out=dev)   # dev is not read again
+            low -= 64                   # e - k
+            walked = np.flatnonzero((low < bottom) | (low > top - _BLOCK_FREQ_BITS))
+            if walked.size:
+                # Byte i of every walked row together. np.take copies whole rows
+                # many times faster than whole[walked].
+                whole = np.ndarray((rows, _BLOCK_FREQ_BYTES), np.uint8, block)
+                cols = np.take(whole, walked, axis=0).T.tobytes()
 
-            def table(t):
-                return np.frombuffer(cols.translate(t), np.int8).reshape(-1, walked.size)
+                def table(t):
+                    return np.frombuffer(cols.translate(t), np.int8).reshape(-1, walked.size)
 
-            # walk[i, r] = S at the end of byte i of row r, relative to the
-            # row's start; int16 is exact, as |walk| <= 128. These row adds
-            # run about 3x faster than np.cumsum along axis 0.
-            step = table(_STEP_T)
-            (walk,) = _carve(work, step.size, np.int16)
-            walk = walk.reshape(step.shape)
-            walk[0] = step[0]
-            for i in range(1, _BLOCK_FREQ_BYTES):
-                np.add(walk[i - 1], step[i], out=walk[i])
-            del step                # freed before the next table is made
+                # walk[i, r] = S at the end of byte i of row r, relative to the
+                # row's start; int16 is exact, as |walk| <= 128. These row adds
+                # run about 3x faster than np.cumsum along axis 0.
+                step = table(_STEP_T)
+                (walk,) = _carve(work, step.size, np.int16)
+                walk = walk.reshape(step.shape)
+                walk[0] = step[0]
+                for i in range(1, _BLOCK_FREQ_BYTES):
+                    np.add(walk[i - 1], step[i], out=walk[i])
+                del step                # freed before the next table is made
 
-            # Each byte's in-byte extremes, offset from the walk at its end,
-            # bound every S_k it contributes.
-            starts = ends[walked] - walk[-1]
-            walk += table(_LOW_T)
-            bottom = min(bottom, int((starts + walk.min(axis=0)).min()))
-            walk += table(_SPAN_T)
-            top = max(top, int((starts + walk.max(axis=0)).max()))
-        self.min_s = self.running + bottom
-        self.max_s = self.running + top
-        self.running += int(ends[-1])
+                # Each byte's in-byte extremes, offset from the walk at its end,
+                # bound every S_k it contributes.
+                starts = ends[walked] - walk[-1]
+                walk += table(_LOW_T)
+                bottom = min(bottom, int((starts + walk.min(axis=0)).min()))
+                walk += table(_SPAN_T)
+                top = max(top, int((starts + walk.max(axis=0)).max()))
+            self.min_s = self.running + bottom
+            self.max_s = self.running + top
+            self.running += int(ends[-1])
+        # An unfinished row, which only the last read has, counts for the walk only.
+        for byte in block[rows * _BLOCK_FREQ_BYTES:]:
+            self.min_s = min(self.min_s, self.running + WMIN[byte])
+            self.max_s = max(self.max_s, self.running + WMAX[byte])
+            self.running += STEP[byte]
 
     def report(self) -> NistLiteReport:
         n, ones = self.n, self.ones
@@ -371,10 +373,6 @@ class _BitStats:
             )
 
         running, min_s, max_s = self.running, self.min_s, self.max_s
-        for byte in self.tail:     # an unfinished row counts for the walk only
-            min_s = min(min_s, running + WMIN[byte])
-            max_s = max(max_s, running + WMAX[byte])
-            running += STEP[byte]
         z_fwd = max(max_s, -min_s)
         z_bwd = max(running - min_s, max_s - running)
         return NistLiteReport(

@@ -119,8 +119,7 @@ def whiten_stream(
                           indices=np.frombuffer(recorded, dtype="<u4"))
 
 
-def check_trace(pool: MatrixPool, trace: SelectionTrace,
-                input: Optional[BinaryIO] = None) -> None:
+def check_trace(pool: MatrixPool, trace: SelectionTrace, input: BinaryIO) -> None:
     """Raise ValueError unless ``pool`` has ``trace``'s chunk size and members,
     and a regular file ``input`` holds ``len(trace)`` chunks past its position."""
     if trace.chunk_bits != pool.size:
@@ -131,7 +130,7 @@ def check_trace(pool: MatrixPool, trace: SelectionTrace,
                          f"{pool.count} permutations")
     try:
         info = os.fstat(input.fileno())
-    except (AttributeError, OSError):    # no input, or no file behind it
+    except (AttributeError, OSError):    # no file behind the input
         return
     if stat.S_ISREG(info.st_mode):
         chunks = frame(8 * max(0, info.st_size - input.tell()), pool.size)[0]
@@ -145,10 +144,8 @@ def unwhiten_stream(
     pool: MatrixPool,
     trace: SelectionTrace,
     output: BinaryIO,
-    workers: int = 1,
 ) -> None:
-    """Invert a whitening run recorded in ``trace``; bit-exact recovery.
-    ``workers`` is accepted for compatibility and ignored."""
+    """Invert a whitening run recorded in ``trace``; bit-exact recovery."""
     check_trace(pool, trace, input)
     permute = _kernel(pool, lambda m: pool.permutations[m].invert().map)
     total, done = trace.indices.size, 0

@@ -415,6 +415,24 @@ def test_compare_from_reports(tmp_path, capsys):
     assert lines[1].startswith("before.csv,")
 
 
+@pytest.mark.parametrize("labels, names", [
+    (("--label-before", "raw", "--label-after", "white, n=13"),
+     ["raw", '"white, n=13"']),
+    ((), ["stuck.bin", "white.bin"]),
+], ids=["labels", "basenames"])
+def test_compare_figure_rows_carry_labels(tmp_path, capsys, labels, names):
+    raw, white = tmp_path / "stuck.bin", tmp_path / "white.bin"
+    raw.write_bytes(b"\x00\x01\x03" * 1000)
+    white.write_bytes(CounterSource("cli-labels").read_bytes(3000))
+    figure = tmp_path / "figure.csv"
+    rc = run_cli("compare", str(raw), str(white), "--figure-csv", str(figure), *labels)
+    assert rc == 0
+    lines = figure.read_text().splitlines()
+    assert lines[0] == "label,chi_square,arithmetic_mean"
+    # a label is everything before the last two fields, as written
+    assert [line.rsplit(",", 2)[0] for line in lines[1:]] == names
+
+
 # --- baselines ---
 
 def test_xor_command(tmp_path):

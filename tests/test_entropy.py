@@ -279,6 +279,26 @@ def test_random_indices_rejects_m_outside_uint32(m):
         CounterSource("range").random_indices(m, 1)
 
 
+def test_draws_pinned_digest():
+    # Batched draws over every word width, and the degenerate and scalar
+    # draws after them, from one keystream: a change to which bytes a draw
+    # reads or which words it keeps moves every later value and the digest.
+    import hashlib
+
+    src = CounterSource("draws-pin")
+    sha = hashlib.sha256()
+    for m in (1, 2, 3, 5, 255, 256, 257, 300, 65537, 2**20 + 1, 2**32):
+        for count in (0, 1, 1000, 2**18 + 7):
+            out = src.random_indices(m, count)
+            assert out.dtype == np.uint32 and out.size == count
+            sha.update(out.astype("<u4").tobytes())
+    scalars = (src.random_int(7, 7), src.random_index(1), src.random_int(0, 299))
+    assert scalars[:2] == (7, 0)
+    sha.update(repr(scalars).encode() + src.read_bytes(16))
+    assert sha.hexdigest() == (
+        "8643ab3eb71e39d7726b3ec72a92f6c23792de2636ce896b53ee85221712ee66")
+
+
 def test_dice_frequencies_within_three_sigma():
     # 6e6 draws on [1, 6]: each face expected 1e6, sigma = sqrt(n p (1-p))
     draws = 6_000_000

@@ -65,9 +65,9 @@ def check_against_gather(data, pool, make_selector):
                               workers=workers)
         expected = gather_kernel(maps, pool.size)(data[:full], trace.indices) + data[full:]
         assert out.getvalue() == expected
-        back = io.BytesIO()
-        unwhiten_stream(io.BytesIO(expected), pool, trace, back, workers=workers)
-        assert back.getvalue() == data
+    back = io.BytesIO()
+    unwhiten_stream(io.BytesIO(expected), pool, trace, back)
+    assert back.getvalue() == data
     return trace
 
 

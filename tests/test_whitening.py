@@ -353,7 +353,8 @@ def watched(call, workers):
 
 
 def test_workers_start_no_thread_and_add_no_memory():
-    # ``workers`` is accepted and ignored: 8 workers run exactly like one.
+    # whiten_stream's ``workers`` is accepted and ignored: 8 workers run
+    # exactly like one.
     pool = generate_pool(13, 4, CounterSource("one-thread-pool"))
     data = CounterSource("one-thread-in").read_bytes(8 << 20)
     cfg = WhitenConfig(n_qubits=13, pool_count=4, record_selections=True)
@@ -368,10 +369,8 @@ def test_workers_start_no_thread_and_add_no_memory():
     assert trace8 == trace
     assert white_peak8 <= 1.25 * white_peak1
 
-    def unwhiten(sink, workers):
-        unwhiten_stream(io.BytesIO(data), pool, trace, sink, workers=workers)
+    # unwhiten_stream takes no workers; it starts no thread either.
+    def unwhiten(sink, _):
+        unwhiten_stream(io.BytesIO(data), pool, trace, sink)
 
-    back1, back_peak1, _ = watched(unwhiten, 1)
-    back8, back_peak8, _ = watched(unwhiten, 8)
-    assert back8 == back1
-    assert back_peak8 <= 1.25 * back_peak1
+    watched(unwhiten, None)
