@@ -26,12 +26,16 @@ def read_up_to(source, n: int) -> bytes:
 
 def iter_blocks(source, size: int = BLOCK_BYTES):
     """Yield ``size``-byte blocks of ``source`` until a short read; the
-    last block may be shorter, and no block is empty."""
+    last block may be shorter, and no block is empty. A block is let go
+    before the next is read, so a caller that drops its own reference
+    holds one block at a time."""
     while True:
         block = read_up_to(source, size)
+        last = len(block) < size
         if block:
             yield block
-        if len(block) < size:
+        del block
+        if last:
             return
 
 

@@ -28,7 +28,13 @@ import tempfile
 from .baselines import von_neumann, xor_combine
 from .entropy import make_source
 from .errors import EntropyExhausted, FormatError, PreconditionError
-from .permutation import SHUFFLE_MODES, generate_pool, pool_load, pool_save
+from .permutation import (
+    SHUFFLE_MODES,
+    _draw_members,
+    _pool_header,
+    _write_pool,
+    pool_load,
+)
 from .randtests import analyze, compare_reports, ent_analyze
 from .reports import (
     figure_csv,
@@ -115,10 +121,12 @@ def _make_selector(args: argparse.Namespace):
 
 def _cmd_gen_pool(args: argparse.Namespace) -> int:
     with _make_selector(args) as rng:
-        pool = generate_pool(args.n_qubits, args.count, rng, mode=args.mode,
-                             generator_tag=args.tag)
-    with _atomic_output(args.output) as fh:
-        pool_save(pool, fh)
+        # Refusals come before any shuffle and before the output is opened;
+        # then each member is written as it is drawn.
+        header = _pool_header(args.n_qubits, args.count, args.tag)
+        members = _draw_members(args.n_qubits, args.count, rng, args.mode)
+        with _atomic_output(args.output) as fh:
+            _write_pool(fh, header, members)
     print(f"wrote {args.output}: {args.count} permutations of "
           f"{1 << args.n_qubits} bits ({args.n_qubits} qubits, {args.mode})",
           file=sys.stderr)

@@ -40,7 +40,8 @@ _POOL_HEADER = struct.Struct("<4sHBBIH")
 
 
 class IndexPermutation:
-    """A bijection on N bit positions; immutable after construction."""
+    """A bijection on N bit positions; immutable after construction. The
+    map is uint16 when N <= 2^16, as in every pool, else uint32."""
 
     __slots__ = ("size", "map")
 
@@ -48,10 +49,10 @@ class IndexPermutation:
         arr = np.asarray(mapping)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("mapping must be a non-empty 1-d sequence")
-        # Before the uint32 cast, which would truncate floats and wrap integers.
+        # Before the unsigned cast, which would truncate floats and wrap integers.
         if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= arr.size:
             raise ValueError("mapping entries must be integers in 0..N-1")
-        arr = arr.astype(np.uint32)
+        arr = arr.astype(np.uint16 if arr.size <= 1 << 16 else np.uint32)
         if np.bincount(arr, minlength=arr.size).max() != 1:
             raise ValueError("mapping is not a bijection on 0..N-1")
         arr.setflags(write=False)
@@ -73,8 +74,8 @@ class IndexPermutation:
         return chunk[self.map]
 
     def invert(self) -> "IndexPermutation":
-        inv = np.empty(self.size, dtype=np.uint32)
-        inv[self.map] = np.arange(self.size, dtype=np.uint32)
+        inv = np.empty(self.size, dtype=self.map.dtype)
+        inv[self.map] = np.arange(self.size, dtype=self.map.dtype)
         inv.setflags(write=False)
         # The inverse of a checked bijection is one, so the constructor's
         # checks are not run again.
@@ -166,8 +167,9 @@ class MatrixPool:
         return len(self.permutations)
 
 
-def _header_tag(count: int, generator_tag: str) -> bytes:
-    """``generator_tag`` in UTF-8, once it and ``count`` fit the pool header."""
+def _pool_header(n_qubits: int, count: int, generator_tag: str) -> bytes:
+    """The pool file's header and tag, once ``count``, ``generator_tag`` and
+    ``n_qubits`` fit it."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if count >= 1 << 32:
@@ -175,7 +177,29 @@ def _header_tag(count: int, generator_tag: str) -> bytes:
     tag = generator_tag.encode("utf-8")
     if len(tag) > 0xFFFF:
         raise ValueError("generator_tag too long")
-    return tag
+    _checked_size(n_qubits)
+    return _POOL_HEADER.pack(POOL_MAGIC, POOL_VERSION, n_qubits, 0, count, len(tag)) + tag
+
+
+def _draw_members(n_qubits: int, count: int, rng: EntropySource, mode: str):
+    """``count`` members, each shuffled only when the iterator reaches it;
+    the mode is checked at once."""
+    try:
+        gen = SHUFFLE_MODES[mode]
+    except KeyError:
+        raise ValueError(f"unknown shuffle mode: {mode!r}") from None
+    return (gen(n_qubits, rng) for _ in range(count))
+
+
+def _write_pool(sink: BinaryIO, header: bytes, members) -> None:
+    """Write ``header``, then each member's record and its CRC32 as
+    ``members`` yields it."""
+    sink.write(header)
+    for perm in members:
+        # Records are little-endian uint32 whatever dtype the map has.
+        rec = np.ascontiguousarray(perm.map, dtype="<u4")
+        sink.write(rec)
+        sink.write(struct.pack("<I", zlib.crc32(rec)))
 
 
 def generate_pool(
@@ -185,26 +209,16 @@ def generate_pool(
     mode: str = "fullrange",
     generator_tag: str = "",
 ) -> MatrixPool:
-    _header_tag(count, generator_tag)
-    try:
-        gen = SHUFFLE_MODES[mode]
-    except KeyError:
-        raise ValueError(f"unknown shuffle mode: {mode!r}") from None
-    perms = tuple(gen(n_qubits, rng) for _ in range(count))
-    return MatrixPool(n_qubits=n_qubits, permutations=perms, generator_tag=generator_tag)
+    _pool_header(n_qubits, count, generator_tag)
+    members = _draw_members(n_qubits, count, rng, mode)
+    return MatrixPool(n_qubits=n_qubits, permutations=tuple(members),
+                      generator_tag=generator_tag)
 
 
 def pool_save(pool: MatrixPool, sink: BinaryIO) -> None:
     """Write the binary pool format (little-endian, CRC32 per record)."""
-    tag = _header_tag(pool.count, pool.generator_tag)
-    sink.write(_POOL_HEADER.pack(POOL_MAGIC, POOL_VERSION, pool.n_qubits, 0,
-                                 pool.count, len(tag)))
-    sink.write(tag)
-    for perm in pool.permutations:
-        # No copy for the native little-endian uint32 maps pools hold.
-        rec = np.ascontiguousarray(perm.map, dtype="<u4")
-        sink.write(rec)
-        sink.write(struct.pack("<I", zlib.crc32(rec)))
+    _write_pool(sink, _pool_header(pool.n_qubits, pool.count, pool.generator_tag),
+                pool.permutations)
 
 
 def pool_load(source: BinaryIO) -> MatrixPool:

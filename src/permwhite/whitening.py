@@ -6,7 +6,8 @@ when N > 8, since every byte then may not fill a whole chunk) is copied
 through unchanged rather than padded or dropped. Each direction is one
 loop, in one thread, over the blocks that ``_blocks`` reads: whitening draws
 a block's selections in chunk-ordinal order and records them, unwhitening
-slices them from the trace; then the block is permuted and written.
+slices them from the trace; then the block is permuted and written, and let
+go before the next block is read.
 
 Two kernels permute a block's chunks, and each returns the block as one
 1-D uint8 array that is written as it is. Chunks of at most 8 bits go
@@ -113,6 +114,7 @@ def whiten_stream(
         output.write(permute(full, sel))
         if tail:
             output.write(tail)
+        del full, tail
     if recorded is None:
         return None
     return SelectionTrace(chunk_bits=pool.size,
@@ -157,17 +159,20 @@ def unwhiten_stream(
         done += chunks
         if tail:
             output.write(tail)
+        del full, tail
     if done != total:
         raise ValueError(f"trace too long: {total} entries for {done} chunks")
 
 
 def _blocks(input, chunk_bits):
     """Each block of ``input`` as (full chunks' bytes, chunk count, tail of
-    whole bytes); a chunk holds at most 8 KiB, so only the last block has a tail."""
+    whole bytes); a chunk holds at most 8 KiB, so only the last block has a tail.
+    Neither this loop nor the caller's may hold a block while the next is read."""
     for block in iter_blocks(input):
         chunks, tail_bits = frame(8 * len(block), chunk_bits)
         full = len(block) - tail_bits // 8
         yield block[:full], chunks, block[full:]
+        del block
 
 
 def _kernel(pool, member_map):
@@ -242,13 +247,13 @@ def _transpose_rounds(row_bytes: int) -> tuple:
     return tuple(rounds)
 
 
-def _bit_transpose(words: np.ndarray, row_bytes: int = 1) -> None:
+def _bit_transpose(words: np.ndarray, scratch: np.ndarray, row_bytes: int = 1) -> None:
     """Transpose, in place, the bit matrices of contiguous ``words`` that
     hold whole groups of 8 rows of ``row_bytes`` bytes; byte j of a group's
     8 rows is one matrix. Afterwards row k, byte j holds bit 8j + k of the
-    group's 8 rows, row r as its bit r, MSB first."""
+    group's 8 rows, row r as its bit r, MSB first. ``scratch``, words that
+    are overwritten, holds at least one pass or all of ``words``."""
     words = words.reshape(-1)
-    scratch = np.empty(min(words.size, _TRANSPOSE_SLICE), dtype=_WORD)
     rounds = _transpose_rounds(row_bytes)
     for start in range(0, words.size, _TRANSPOSE_SLICE):
         w = words[start:start + _TRANSPOSE_SLICE]
@@ -314,13 +319,14 @@ def _sliced_kernel(count, member_map, chunk_bits):
         grouped, permuted = buffers(order.size * chunk_bytes)
         np.take(rows, order, axis=0, out=grouped.reshape(-1, chunk_bytes), mode="clip")
 
-        _bit_transpose(grouped.view(_WORD), chunk_bytes)
+        # Each transpose takes its scratch from the buffer it leaves idle.
+        _bit_transpose(grouped.view(_WORD), permuted.view(_WORD), chunk_bytes)
         planes = grouped.reshape(-1, chunk_bits)
         for m in np.flatnonzero(counts):
             g = slice(first[m], first[m] + groups[m])
             np.take(planes[g], plane_map(m), axis=1,
                     out=permuted.reshape(-1, chunk_bits)[g], mode="clip")
-        _bit_transpose(permuted.view(_WORD), chunk_bytes)
+        _bit_transpose(permuted.view(_WORD), grouped.view(_WORD), chunk_bytes)
 
         where = np.empty_like(order)
         where[order] = np.arange(order.size)

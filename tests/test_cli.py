@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -26,6 +27,8 @@ from permwhite.permutation import (
 )
 from permwhite.randtests import EntReport
 from permwhite.reports import report_to_csv
+
+MIB = 1 << 20
 
 
 def run_cli(*argv):
@@ -103,6 +106,26 @@ def test_gen_pool_seed_file_one_byte_short(tmp_path, capsys):
     assert "exhausted at offset 31" in capsys.readouterr().err
     assert not out.exists()
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".permwhite-tmp-")]
+
+
+def test_gen_pool_peak_does_not_grow_with_the_count(tmp_path):
+    # Each member is written as it is drawn: at n=16 a pool of 10 members
+    # peaks where a pool of 2 does, not 8 maps of 256 KiB above it.
+    peaks = []
+    for count in (2, 10):
+        tracemalloc.start()
+        try:
+            rc = run_cli("gen-pool", str(tmp_path / f"{count}.pool"), "--n-qubits", "16",
+                         "--count", str(count), "--source", "det")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+    assert abs(peaks[1] - peaks[0]) < MIB // 4, peaks
+    with open(tmp_path / "10.pool", "rb") as fh:
+        expected = io.BytesIO()
+        pool_save(generate_pool(16, 10, CounterSource("permwhite")), expected)
+        assert fh.read() == expected.getvalue()
 
 
 # --- whiten / unwhiten ---

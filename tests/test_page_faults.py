@@ -1,10 +1,17 @@
-"""The statistics pass reuses its memory from one command to the next.
+"""Repeated commands reuse their memory from one command to the next.
 
 A process that runs ``analyze``, ``compare`` and ``vn`` over and over, as
-the benchmark's evaluate workload does, should take its pages from the
-heap it already holds. A pass whose temporaries let the allocator hand the
-heap's top back to the kernel after every read faults it in again on the
-next one, and runs about half as fast."""
+the benchmark's evaluate workload does, or ``whiten --trace``, ``whiten``
+and ``unwhiten``, as its default-roundtrip workload does, should take its
+pages from the heap it already holds. A pass whose temporaries let the
+allocator hand the heap's top back to the kernel after every read faults
+it in again on the next one, and runs about half as fast.
+
+Order matters, so each set runs in the benchmark's order, after an
+in-process gen-pool. A fresh process that loads its pool from a file and
+runs 20 untraced whitens first faults 500-800 pages per whiten after the
+first (each call allocates its kernel buffers, and the heap's top is
+trimmed when they are freed), where the benchmark's order faults none."""
 
 import os
 import subprocess
@@ -20,52 +27,76 @@ WARM_PASSES = 5
 COUNTED_PASSES = 20
 MAX_FAULTS_PER_COMMAND = 64
 
-# Writes a 2 MiB input with every 64th byte stuck at 0 and its whitened
-# copy, then runs the three commands in turn and prints, per command, the
-# minor page faults of the counted passes.
+# Writes an input with every 64th byte stuck at 0 (2 MiB for the
+# statistics, 4 MiB + 100 bytes at n=13, M=32 for whitening), then runs the
+# commands in turn and prints, per command, the minor page faults of the
+# counted passes. The statistics read a copy whitened in set-up.
 CHILD = """\
 import contextlib, io, os, resource, sys
 import numpy as np
 from permwhite.cli import main
 from permwhite.entropy import CounterSource
 
-work = sys.argv[1]
-path = {name: os.path.join(work, name) for name in ("raw", "pool", "white", "csv", "vn")}
-data = np.frombuffer(CounterSource("fault-guard").read_bytes(2 << 20), np.uint8).copy()
+work, workload = sys.argv[1], sys.argv[2]
+names = ("raw", "pool", "white", "csv", "vn", "trace", "w2", "back")
+path = {name: os.path.join(work, name) for name in names}
+size = {"evaluate": 2 << 20, "roundtrip": (4 << 20) + 100}[workload]
+data = np.frombuffer(CounterSource("fault-guard").read_bytes(size), np.uint8).copy()
 data[::64] = 0
 with open(path["raw"], "wb") as fh:
     fh.write(data.tobytes())
+pool = ["--pool", path["pool"]]
+select = ["--source", "det", "--key", "fault-guard-select"]
 commands = {
-    "analyze": ["analyze", path["white"], "--csv", path["csv"]],
-    "compare": ["compare", path["raw"], path["white"]],
-    "vn": ["vn", path["raw"], path["vn"]],
-}
+    "evaluate": {
+        "analyze": ["analyze", path["white"], "--csv", path["csv"]],
+        "compare": ["compare", path["raw"], path["white"]],
+        "vn": ["vn", path["raw"], path["vn"]],
+    },
+    "roundtrip": {
+        "whiten_trace": ["whiten", path["raw"], path["white"], *pool,
+                         "--trace", path["trace"], *select],
+        "whiten": ["whiten", path["raw"], path["w2"], *pool, *select],
+        "unwhiten": ["unwhiten", path["white"], path["back"], *pool,
+                     "--trace", path["trace"]],
+    },
+}[workload]
 faults = dict.fromkeys(commands, 0)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     assert main(["gen-pool", path["pool"], "--n-qubits", "13", "--count", "32",
                  "--source", "det", "--key", "fault-guard-pool"]) == 0
-    assert main(["whiten", path["raw"], path["white"], "--pool", path["pool"],
-                 "--source", "det", "--key", "fault-guard-select"]) == 0
-    for done in range(int(sys.argv[2]) + int(sys.argv[3])):
+    if workload == "evaluate":
+        assert main(["whiten", path["raw"], path["white"], *pool, *select]) == 0
+    for done in range(int(sys.argv[3]) + int(sys.argv[4])):
         for name, argv in commands.items():
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             assert main(argv) == 0
-            if done >= int(sys.argv[2]):
+            if done >= int(sys.argv[3]):
                 faults[name] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(" ".join(f"{name}={count}" for name, count in faults.items()))
 """
 
 
-def test_repeated_commands_take_no_new_pages(tmp_path):
+def faults_per_command(tmp_path, workload):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tmp_path), str(WARM_PASSES), str(COUNTED_PASSES)],
+        [sys.executable, "-c", CHILD, str(tmp_path), workload, str(WARM_PASSES),
+         str(COUNTED_PASSES)],
         capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    faults = {name: int(count) for name, count in
-              (field.split("=") for field in done.stdout.split())}
-    assert set(faults) == {"analyze", "compare", "vn"}
-    per_command = {name: count / COUNTED_PASSES for name, count in faults.items()}
+    return {name: int(count) / COUNTED_PASSES for name, count in
+            (field.split("=") for field in done.stdout.split())}
+
+
+def test_repeated_commands_take_no_new_pages(tmp_path):
+    per_command = faults_per_command(tmp_path, "evaluate")
+    assert set(per_command) == {"analyze", "compare", "vn"}
+    assert all(n < MAX_FAULTS_PER_COMMAND for n in per_command.values()), per_command
+
+
+def test_repeated_whitening_takes_no_new_pages(tmp_path):
+    per_command = faults_per_command(tmp_path, "roundtrip")
+    assert set(per_command) == {"whiten_trace", "whiten", "unwhiten"}
     assert all(n < MAX_FAULTS_PER_COMMAND for n in per_command.values()), per_command

@@ -97,9 +97,9 @@ def test_invert_worked_example():
     assert p.invert().map.tolist() == [0, 3, 1, 2]
 
 
-def test_invert_map_is_read_only_uint32():
+def test_invert_map_is_read_only_uint16():
     inverse = IndexPermutation(EXAMPLE_MAP).invert().map
-    assert inverse.dtype == np.uint32 and not inverse.flags.writeable
+    assert inverse.dtype == np.uint16 and not inverse.flags.writeable
 
 
 def test_compose_is_apply_after_apply():
@@ -163,7 +163,24 @@ def test_rejects_entries_that_are_not_indices(mapping):
 def test_accepts_any_integer_dtype():
     for dtype in (np.int8, np.uint16, np.int64, np.uint64):
         p = IndexPermutation(np.array([2, 0, 1], dtype=dtype))
-        assert p.map.dtype == np.uint32 and p.map.tolist() == [2, 0, 1]
+        assert p.map.dtype == np.uint16 and p.map.tolist() == [2, 0, 1]
+
+
+@pytest.mark.parametrize("size, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.uint32)])
+def test_map_dtype_at_the_uint16_boundary(size, dtype):
+    # Every pool map (N <= 2^16) is uint16; a longer map keeps uint32. Both
+    # give the values that an intp reference gives.
+    rng = np.random.default_rng(size)
+    a, b = rng.permutation(size), rng.permutation(size)
+    p, q = IndexPermutation(a), IndexPermutation(b)
+    inverse, composed = p.invert().map, p.compose(q).map
+    for arr in (p.map, inverse, composed):
+        assert arr.dtype == dtype and not arr.flags.writeable
+    assert np.array_equal(inverse, np.argsort(a))
+    assert np.array_equal(composed, b[a])
+    chunk = rng.integers(0, 2, size, dtype=np.uint8)
+    assert np.array_equal(p.apply(chunk), chunk[a])
+    assert int(inverse.max()) == size - 1
 
 
 def test_equality_and_hash():

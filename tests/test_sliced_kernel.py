@@ -122,13 +122,14 @@ def test_transpose_turns_chunk_bit_p_into_plane_byte_p(chunk_bytes):
     rng = np.random.default_rng(chunk_bytes)
     groups = rng.integers(0, 256, (40, 8, chunk_bytes), dtype=np.uint8)
     sliced = np.ascontiguousarray(groups.transpose(0, 2, 1))
-    _bit_transpose(sliced.view(_WORD))
+    scratch = np.empty(sliced.size // 8, dtype=_WORD)
+    _bit_transpose(sliced.view(_WORD), scratch)
     planes = sliced.reshape(40, chunk_bytes * 8)
     # plane byte p, MSB first, is chunk bit p of rows 0..7
     bits = np.unpackbits(groups, axis=-1)
     assert np.array_equal(np.unpackbits(planes, axis=-1).reshape(40, -1, 8),
                           bits.transpose(0, 2, 1))
-    _bit_transpose(sliced.view(_WORD))
+    _bit_transpose(sliced.view(_WORD), scratch)
     assert np.array_equal(sliced, groups.transpose(0, 2, 1))
 
 
@@ -141,7 +142,8 @@ def test_transpose_across_rows_turns_chunk_bit_8j_plus_k_into_row_k_byte_j(row_b
     rng = np.random.default_rng(row_bytes)
     rows = rng.integers(0, 256, (n_groups, 8, row_bytes), dtype=np.uint8)
     words = rows.reshape(-1).view(_WORD).copy()
-    _bit_transpose(words, row_bytes)
+    scratch = np.empty_like(words)
+    _bit_transpose(words, scratch, row_bytes)
     assert words.dtype == np.uint64
     assert all(shift.dtype == np.uint64 and isinstance(mask, np.ndarray)
                and mask.dtype == np.uint64 and not mask.flags.writeable
@@ -151,7 +153,7 @@ def test_transpose_across_rows_turns_chunk_bit_8j_plus_k_into_row_k_byte_j(row_b
     bits = np.unpackbits(rows, axis=-1).reshape(n_groups, 8, row_bytes, 8)
     expected = np.packbits(bits.transpose(0, 3, 2, 1), axis=-1)
     assert np.array_equal(words.view(np.uint8), expected.reshape(-1))
-    _bit_transpose(words, row_bytes)
+    _bit_transpose(words, scratch, row_bytes)
     assert np.array_equal(words.view(np.uint8), rows.reshape(-1))
 
 
@@ -197,8 +199,55 @@ def test_block_memory_stays_near_the_block():
     assert peak <= 16 * MIB
 
 
+@pytest.fixture(scope="module")
+def flagship_run(tmp_path_factory):
+    """n=13, M=32 on 4 MiB + 100 bytes: the pool, the input file, its
+    whitened copy and the trace, all made before any peak is taken."""
+    work = tmp_path_factory.mktemp("flagship")
+    pool = generate_pool(13, 32, CounterSource("flagship-pool"))
+    raw, white = work / "raw.bin", work / "white.bin"
+    raw.write_bytes(CounterSource("flagship-in").read_bytes(4 * MIB + 100))
+    cfg = WhitenConfig(n_qubits=13, pool_count=32, record_selections=True)
+    with open(raw, "rb") as src, open(white, "wb") as out:
+        trace = whiten_stream(src, pool, cfg, CounterSource("flagship-sel"), out)
+    return pool, raw, white, trace
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_whitening_holds_one_input_block(flagship_run, tmp_path):
+    # As in a fresh process: two kernel buffers of 1.1 MiB, the transpose
+    # masks (0.75 MiB), 0.5 MiB of plane maps and one 1 MiB input block.
+    # A second block or a transpose scratch of its own takes it past 5 MiB.
+    pool, raw, white, trace = flagship_run
+    cfg = WhitenConfig(n_qubits=13, pool_count=32, record_selections=True)
+    _transpose_rounds.cache_clear()
+    with open(raw, "rb") as src, open(tmp_path / "w.bin", "wb") as out:
+        peak = traced_peak(lambda: whiten_stream(src, pool, cfg,
+                                                 CounterSource("flagship-sel"), out))
+    assert (tmp_path / "w.bin").read_bytes() == white.read_bytes()
+    assert peak < 5.0 * MIB
+
+
+def test_unwhitening_holds_one_input_block(flagship_run, tmp_path):
+    # As whitening, with the masks already built and an inverse map built
+    # and dropped per member.
+    pool, raw, white, trace = flagship_run
+    with open(white, "rb") as src, open(tmp_path / "back.bin", "wb") as out:
+        peak = traced_peak(lambda: unwhiten_stream(src, pool, trace, out))
+    assert (tmp_path / "back.bin").read_bytes() == raw.read_bytes()
+    assert peak < 4.25 * MIB
+
+
 def test_pool_maps_are_not_copied_per_run():
-    # n=16, M=300: the maps take 75 MiB. Whitening reads each member's map
+    # n=16, M=300: the uint16 maps take 37.5 MiB. Whitening reads each member's map
     # in place, and unwhitening holds one inverse map per member, so
     # neither peak grows by a stack of the whole pool widened to intp.
     pool = random_pool(16, 300, 16)
@@ -219,7 +268,7 @@ def test_pool_maps_are_not_copied_per_run():
     finally:
         tracemalloc.stop()
     assert back.getvalue() == data
-    assert maps_bytes == 75 * MIB
+    assert maps_bytes == 75 * MIB // 2
     assert whiten_peak <= 40 * MIB
     assert unwhiten_peak <= maps_bytes + 40 * MIB
 
