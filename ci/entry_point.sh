@@ -59,6 +59,13 @@ test "$(permwhite vn in.bin vn.bin 2>&1)" = "wrote vn.bin: 199940 bits"
 sha256sum -c - <<'SUMS'
 daa38b3373bf9f1abac7c899c991ba90478e2292d76354fc5ade9f65163c958c  vn.bin
 SUMS
+permwhite xor in.bin white.bin x.bin
+sha256sum -c - <<'SUMS'
+5911afe87682218c0354c22415d05f44b284ae4cb0a9a7884e2a599284b3dff8  x.bin
+SUMS
+# An output takes the mode open() gives under the caller's umask.
+(umask 027 && permwhite vn in.bin m.bin)
+test "$(stat -c %a m.bin)" = 640
 # unwhiten refuses a missing --trace (exit 2) before it reads the pool.
 rc=0
 permwhite unwhiten white.bin none.bin --pool ci.pool || rc=$?

@@ -41,7 +41,7 @@ def xor_combine(a: BinaryIO, b: BinaryIO, out: BinaryIO) -> int:
         n = min(len(ba), len(bb))
         xa = np.frombuffer(ba, dtype=np.uint8, count=n)
         xb = np.frombuffer(bb, dtype=np.uint8, count=n)
-        out.write((xa ^ xb).tobytes())
+        out.write(xa ^ xb)
         written += n
     return written
 
@@ -81,7 +81,7 @@ def von_neumann(input: BinaryIO, out: BinaryIO) -> int:
                  + np.bincount(word + 1, weights=x & 0xFFFFFFFF, minlength=size))
         words[0] += partial
         whole = total // 32
-        out.write(words[:whole].astype(">u4").tobytes())
+        out.write(words[:whole].astype(">u4"))
         partial = int(words[whole])
         emitted += total - held
     out.write(partial.to_bytes(4, "big")[:(emitted % 32 + 7) // 8])

@@ -23,7 +23,6 @@ import argparse
 import contextlib
 import os
 import sys
-import tempfile
 
 from .baselines import von_neumann, xor_combine
 from .entropy import make_source
@@ -88,23 +87,14 @@ def _load_config(path: str, command: str) -> list:
     return list(settings.values())
 
 
-def _umask() -> int:
-    """The process umask; ``os.umask`` can only read it by setting it."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 @contextlib.contextmanager
 def _atomic_output(path: str):
-    """Write to a temp file and rename into place only on success."""
+    """Write to a temp file beside ``path`` and rename into place only on success."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".permwhite-tmp-")
-    fh = os.fdopen(fd, "wb")
+    tmp = os.path.join(directory, f".permwhite-tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "xb")
     try:
         yield fh
-        # mkstemp creates 0600; give the output the mode open() would.
-        os.fchmod(fd, 0o666 & ~_umask())
         fh.close()
         os.replace(tmp, path)
     except BaseException:

@@ -28,6 +28,7 @@ import functools
 import os
 import stat
 import struct
+import threading
 import zlib
 from dataclasses import dataclass
 from typing import BinaryIO, Optional
@@ -278,6 +279,20 @@ def _plane_map(bit_map: np.ndarray) -> np.ndarray:
     return ((bit & 7) * chunk_bytes + (bit >> 3)).reshape(-1)
 
 
+# The sliced kernel's two block buffers, one pair per thread, kept across
+# blocks and calls so that their pages are not faulted in afresh; a pair
+# grows to the largest padded block its thread has permuted.
+_held = threading.local()
+
+
+def _buffers(size):
+    """Views of ``size`` bytes into this thread's two block buffers."""
+    if getattr(_held, "pair", None) is None or _held.pair[0].size < size:
+        _held.pair = None  # the smaller pair goes before the larger is made
+        _held.pair = [np.empty(size, dtype=np.uint8) for _ in range(2)]
+    return [buf[:size] for buf in _held.pair]
+
+
 def _sliced_kernel(count, member_map, chunk_bits):
     """Chunks of 16 or more bits, bit-sliced (Biham, FSE 1997). The chunks
     that selected one member are stacked in groups of 8 rows of B bytes, and
@@ -287,7 +302,8 @@ def _sliced_kernel(count, member_map, chunk_bits):
     Permuting a chunk's bits is permuting the group's planes through the
     member's map in plane order, ``P . map . P^-1``, one ``take`` per
     member, and a second transpose turns the planes back into rows. The
-    array a block returns lives in a buffer that the next block reuses."""
+    array a block returns lives in a buffer of its thread that the next
+    block reuses."""
     chunk_bytes = chunk_bits // 8
     # Sorting one- or two-byte keys takes numpy's stable radix sort.
     key_dtype = np.min_scalar_type(count - 1)
@@ -295,16 +311,6 @@ def _sliced_kernel(count, member_map, chunk_bits):
     @functools.lru_cache(maxsize=None)
     def plane_map(m):
         return _plane_map(member_map(m))
-
-    # Two block buffers, kept across blocks so that their pages are not
-    # faulted in afresh for each block; they grow to the largest padded block.
-    held = []
-
-    def buffers(size):
-        if not held or held[0].size < size:
-            held.clear()
-            held.extend(np.empty(size, dtype=np.uint8) for _ in range(2))
-        return held[0][:size], held[1][:size]
 
     def process(buf: bytes, sel: np.ndarray) -> np.ndarray:
         rows = np.frombuffer(buf, dtype=np.uint8).reshape(-1, chunk_bytes)
@@ -316,7 +322,7 @@ def _sliced_kernel(count, member_map, chunk_bits):
         first = np.cumsum(groups) - groups
         pads = np.repeat(np.arange(count, dtype=key_dtype), 8 * groups - counts)
         order = np.argsort(np.concatenate((sel.astype(key_dtype), pads)), kind="stable")
-        grouped, permuted = buffers(order.size * chunk_bytes)
+        grouped, permuted = _buffers(order.size * chunk_bytes)
         np.take(rows, order, axis=0, out=grouped.reshape(-1, chunk_bytes), mode="clip")
 
         # Each transpose takes its scratch from the buffer it leaves idle.

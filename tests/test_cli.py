@@ -634,6 +634,40 @@ def test_output_mode_follows_umask(tmp_path, pool_file):
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
 
 
+def test_no_command_touches_the_umask(tmp_path, monkeypatch, capsys):
+    # The kernel applies the umask when an output's temp file is created;
+    # no command reads it through os.umask, which can only set it.
+    f = {name: str(tmp_path / name) for name in (
+        "in.bin", "p.pool", "white.bin", "run.trace", "back.bin", "r.csv",
+        "fig.csv", "x.bin", "vn.bin")}
+    (tmp_path / "in.bin").write_bytes(CounterSource("cli-umask").read_bytes(4_096))
+    calls = []
+    real_umask = os.umask
+
+    def spy(mask):
+        calls.append(mask)
+        return real_umask(mask)
+
+    monkeypatch.setattr(os, "umask", spy)
+    steps = [
+        ["gen-pool", f["p.pool"], "--n-qubits", "4", "--count", "4",
+         "--source", "det", "--key", "cli-umask"],
+        ["whiten", f["in.bin"], f["white.bin"], "--pool", f["p.pool"],
+         "--trace", f["run.trace"], "--source", "det"],
+        ["unwhiten", f["white.bin"], f["back.bin"], "--pool", f["p.pool"],
+         "--trace", f["run.trace"]],
+        ["analyze", f["white.bin"], "--csv", f["r.csv"]],
+        ["compare", f["in.bin"], f["white.bin"], "--figure-csv", f["fig.csv"]],
+        ["xor", f["in.bin"], f["white.bin"], f["x.bin"]],
+        ["vn", f["in.bin"], f["vn.bin"]],
+    ]
+    for argv in steps:
+        assert run_cli(*argv) == 0, argv
+    capsys.readouterr()
+    assert calls == []
+    assert all(os.path.getsize(path) for path in f.values())
+
+
 def test_exit_code_bad_flag():
     assert run_cli("gen-pool", "x.pool", "--no-such-flag") == 2
 

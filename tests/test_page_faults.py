@@ -8,17 +8,23 @@ allocator hand the heap's top back to the kernel after every read faults
 it in again on the next one, and runs about half as fast.
 
 Order matters, so each set runs in the benchmark's order, after an
-in-process gen-pool. A fresh process that loads its pool from a file and
-runs 20 untraced whitens first faults 500-800 pages per whiten after the
-first (each call allocates its kernel buffers, and the heap's top is
-trimmed when they are freed), where the benchmark's order faults none."""
+in-process gen-pool. A third set is a fresh process that loads its pool
+from a file written before it started and runs only untraced whitens.
+It faults none either, because the kernel's buffers belong to the thread
+and outlive each call; when each call made its own, the heap's top was
+trimmed as they were freed and every whiten after the first faulted about
+800 pages."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from permwhite.entropy import CounterSource
+from permwhite.permutation import generate_pool, pool_save
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                 reason="minor page-fault counts are read on Linux")
@@ -77,6 +83,27 @@ print(" ".join(f"{name}={count}" for name, count in faults.items()))
 """
 
 
+# Given a pool file and an input file, runs untraced whitens alone, with
+# nothing before them in the process, and prints the minor page faults of
+# the counted passes.
+WHITEN_ONLY_CHILD = """\
+import contextlib, io, resource, sys
+from permwhite.cli import main
+
+raw, pool, out, warm, counted = sys.argv[1:]
+argv = ["whiten", raw, out, "--pool", pool,
+        "--source", "det", "--key", "fault-guard-select"]
+faults = 0
+with contextlib.redirect_stderr(io.StringIO()):
+    for done in range(int(warm) + int(counted)):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        if done >= int(warm):
+            faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
+
+
 def faults_per_command(tmp_path, workload):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -100,3 +127,23 @@ def test_repeated_whitening_takes_no_new_pages(tmp_path):
     per_command = faults_per_command(tmp_path, "roundtrip")
     assert set(per_command) == {"whiten_trace", "whiten", "unwhiten"}
     assert all(n < MAX_FAULTS_PER_COMMAND for n in per_command.values()), per_command
+
+
+def test_whitening_with_a_pool_from_a_file_takes_no_new_pages(tmp_path):
+    raw, pool, out = (str(tmp_path / name) for name in ("raw", "pool", "white"))
+    data = np.frombuffer(CounterSource("fault-guard").read_bytes((4 << 20) + 100),
+                         np.uint8).copy()
+    data[::64] = 0
+    with open(raw, "wb") as fh:
+        fh.write(data)
+    with open(pool, "wb") as fh:
+        pool_save(generate_pool(13, 32, CounterSource("fault-guard-pool")), fh)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", WHITEN_ONLY_CHILD, raw, pool, out, str(WARM_PASSES),
+         str(COUNTED_PASSES)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) / COUNTED_PASSES < MAX_FAULTS_PER_COMMAND, done.stdout

@@ -191,6 +191,21 @@ def test_equality_and_hash():
     assert a != IndexPermutation([0, 1, 2, 3])
 
 
+def test_equality_with_another_type_is_false():
+    p = IndexPermutation(EXAMPLE_MAP)
+    assert p != EXAMPLE_MAP
+    assert not p == "IndexPermutation(size=4)"
+
+
+def test_compose_rejects_another_size():
+    with pytest.raises(ValueError, match="size mismatch"):
+        IndexPermutation(EXAMPLE_MAP).compose(IndexPermutation.identity(8))
+
+
+def test_repr_names_the_size():
+    assert repr(IndexPermutation.identity(16)) == "IndexPermutation(size=16)"
+
+
 # fullrange mode: draws K[i] on [1, N] for i = 1..N, then sweeps i downward
 # swapping S[K[i]] <-> S[i].
 

@@ -6,6 +6,7 @@ and the bit layout the transpose gives the planes, inside one-byte rows
 and across longer rows."""
 
 import io
+import threading
 import tracemalloc
 
 import numpy as np
@@ -244,6 +245,31 @@ def test_unwhitening_holds_one_input_block(flagship_run, tmp_path):
         peak = traced_peak(lambda: unwhiten_stream(src, pool, trace, out))
     assert (tmp_path / "back.bin").read_bytes() == raw.read_bytes()
     assert peak < 4.25 * MIB
+
+
+def test_a_fresh_thread_holds_one_input_block(flagship_run, tmp_path):
+    # Each thread keeps its kernel buffers across calls, so the two tests
+    # above may find them made already. A fresh thread makes its own, and
+    # its peaks include them, as in a fresh process.
+    pool, raw, white, trace = flagship_run
+    cfg = WhitenConfig(n_qubits=13, pool_count=32, record_selections=True)
+    peaks = {}
+
+    def run():
+        _transpose_rounds.cache_clear()
+        with open(raw, "rb") as src, open(tmp_path / "w.bin", "wb") as out:
+            peaks["whiten"] = traced_peak(lambda: whiten_stream(
+                src, pool, cfg, CounterSource("flagship-sel"), out))
+        with open(white, "rb") as src, open(tmp_path / "back.bin", "wb") as out:
+            peaks["unwhiten"] = traced_peak(lambda: unwhiten_stream(src, pool, trace, out))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    assert (tmp_path / "w.bin").read_bytes() == white.read_bytes()
+    assert (tmp_path / "back.bin").read_bytes() == raw.read_bytes()
+    assert peaks["whiten"] < 5.0 * MIB
+    assert peaks["unwhiten"] < 4.25 * MIB
 
 
 def test_pool_maps_are_not_copied_per_run():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import struct
+import sys
 import threading
 import tracemalloc
 import zlib
@@ -263,6 +264,13 @@ def test_trace_empty_round_trip():
     assert trace_load(io.BytesIO(sink.getvalue())) == trace
 
 
+def test_trace_equality_with_another_type_is_false():
+    trace = SelectionTrace(chunk_bits=4, indices=np.array([0, 1], np.uint32))
+    assert trace != [0, 1]
+    assert not trace == (4, [0, 1])
+    assert trace == SelectionTrace(chunk_bits=4, indices=[0, 1])
+
+
 def test_trace_bad_magic():
     with pytest.raises(FormatError, match="magic"):
         trace_load(io.BytesIO(b"WRNG" + b"\x00" * 20))
@@ -374,3 +382,39 @@ def test_workers_start_no_thread_and_add_no_memory():
         unwhiten_stream(io.BytesIO(data), pool, trace, sink)
 
     watched(unwhiten, None)
+
+
+def test_threads_whiten_at_once():
+    # The sliced kernel's block buffers belong to a thread and outlive a
+    # call: threads whitening different inputs with one pool at once each
+    # get the bytes that a lone run gives.
+    pool = generate_pool(13, 32, CounterSource("two-thread-pool"))
+    cfg = WhitenConfig(n_qubits=13, pool_count=32)
+    inputs = [CounterSource(f"two-thread-in-{i}").read_bytes((3 << 20) + 100 * i)
+              for i in range(3)]
+
+    def whiten(data):
+        out = io.BytesIO()
+        whiten_stream(io.BytesIO(data), pool, cfg, CounterSource("two-thread-sel"), out)
+        return out.getvalue()
+
+    alone = [whiten(data) for data in inputs]
+    together = [None] * len(inputs)
+    start = threading.Barrier(len(inputs))
+
+    def run(i):
+        start.wait()
+        together[i] = whiten(inputs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert together == alone
