@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Pins of the command-line tool: a deterministic round trip whose pool,
-# output, trace and statistics bytes are fixed, and two refusals.
+# Pins of the command-line tool: deterministic round trips through both
+# kernels whose pool, output, trace and statistics bytes are fixed, and
+# two refusals.
 #
 # Usage: ci/entry_point.sh DIR
 # Runs in DIR, which it fills with its files. The tool is called as
@@ -33,6 +34,16 @@ cmp pwhite.bin white.bin
 cmp p.trace run.trace
 cat white.bin | permwhite unwhiten /dev/stdin pback.bin --pool ci.pool --trace run.trace
 cmp pback.bin in.bin
+# A round trip through the table kernel: 8-bit chunks, 5 members.
+permwhite gen-pool small.pool --n-qubits 3 --count 5 --source det
+permwhite whiten in.bin swhite.bin --pool small.pool --trace s.trace --source det
+sha256sum -c - <<'SUMS'
+da64e1235196939b10a8cc6d060ecbcea7c9db9fdd5ef8f4ae55fb3e28416b4e  small.pool
+9b60de59ca1f2b327216af0fc623826ab4a887b4632301dde263d4717fc65cc4  swhite.bin
+536f28623a9c88a4c23b44b9b5565e458fcfb5aa44036273a3f101f7843f2102  s.trace
+SUMS
+permwhite unwhiten swhite.bin sback.bin --pool small.pool --trace s.trace
+cmp in.bin sback.bin
 # analyze imports scipy only after its pass; compare never does.
 permwhite analyze white.bin --csv r.csv > /dev/null
 test -s r.csv

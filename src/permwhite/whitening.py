@@ -94,16 +94,10 @@ def whiten_stream(
 ) -> Optional[SelectionTrace]:
     """Whiten ``input`` into ``output``; returns the trace if recording.
     ``workers`` is accepted for compatibility and ignored."""
-    if pool.size != 1 << cfg.n_qubits:
-        raise ValueError(
-            f"pool/config mismatch: pool chunk size {pool.size}, "
-            f"config expects {1 << cfg.n_qubits}"
-        )
-    if pool.count != cfg.pool_count:
-        raise ValueError(
-            f"pool/config mismatch: pool has {pool.count} permutations, "
-            f"config expects {cfg.pool_count}"
-        )
+    if (pool.n_qubits, pool.count) != (cfg.n_qubits, cfg.pool_count):
+        raise ValueError(f"pool/config mismatch: pool has {pool.count} permutations "
+                         f"of {pool.size} bits, config expects {cfg.pool_count} of "
+                         f"{1 << cfg.n_qubits} bits")
 
     permute = _kernel(pool, lambda m: pool.permutations[m].map)
     # One growing buffer, viewed as the trace at the end without a copy.
@@ -183,18 +177,18 @@ def _kernel(pool, member_map):
 
 
 def _table_kernel(count, member_map, chunk_bits):
-    """Chunks of at most 8 bits: each byte holds 8/N whole chunks, and one
-    2^N-entry table per pool member maps a chunk value to its permuted
-    value. The tables are stored flat, member m at ``m << N``."""
-    top = chunk_bits - 1
-    values = np.arange(1 << chunk_bits, dtype=np.uint8)
+    """Chunks of at most 8 bits: each byte holds 8/N whole chunks, and each
+    pool member's 2^N-entry table is its permutation applied to every chunk
+    value, stored flat, member m at ``m << N``. All are built in one product:
+    entry (m, v) is v's bits gathered through m's map, weighed by place."""
+    # bits[i, v] is bit i of chunk value v, bit 0 the most significant, and
+    # places[i] its place value 2^(N-1-i).
+    bits = np.unpackbits(np.arange(1 << chunk_bits, dtype=np.uint8)[None], axis=0)
+    bits = bits[8 - chunk_bits:]
+    places = np.left_shift(1, np.arange(chunk_bits - 1, -1, -1, dtype=np.uint8))
+    # Output bit i is input bit columns[m, i]; a sum is at most 255.
     columns = np.stack([member_map(m) for m in range(count)])
-    tables = np.zeros((count, 1 << chunk_bits), dtype=np.uint8)
-    for i in range(chunk_bits):
-        # Output bit i (bit 0 is the chunk's most significant) is input bit columns[:, i].
-        src_shift = (top - columns[:, i]).astype(np.uint8)[:, None]
-        tables |= ((values >> src_shift) & 1) << np.uint8(top - i)
-    tables = tables.ravel()
+    tables = np.einsum("mnv,n->mv", bits[columns], places, dtype=np.uint8).ravel()
     mask = (1 << chunk_bits) - 1
     per_byte = 8 // chunk_bits
 

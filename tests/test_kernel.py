@@ -171,6 +171,16 @@ def test_table_path_exhaustive(n_qubits):
         assert back.getvalue() == every_byte
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_table_path_with_more_than_256_members(n_qubits):
+    # A member past 255 puts the flat table index m << N | v past 16 bits
+    # (up to 76,799 at n=3, M=300).
+    data = CounterSource(f"kernel-wide-{n_qubits}").read_bytes(4099)
+    pool = random_pool(n_qubits, 300, 300 + n_qubits)
+    assert whiten(data, pool)[1].indices.max() >= 256
+    check_against_oracle(data, pool)
+
+
 def test_recording_holds_the_trace_once():
     # 8 MiB of 4-bit chunks record a 64 MiB trace; building it must not
     # hold a second copy of the selections alongside the first

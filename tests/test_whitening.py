@@ -151,6 +151,12 @@ def test_pool_config_mismatch():
     cfg = WhitenConfig(n_qubits=2, pool_count=9)
     with pytest.raises(ValueError, match="mismatch"):
         whiten_stream(io.BytesIO(b"x"), pool, cfg, CounterSource("k"), io.BytesIO())
+    # Both fields differ: the check still comes before any read or write.
+    cfg = WhitenConfig(n_qubits=pool.n_qubits + 1, pool_count=pool.count + 1)
+    source, sink = io.BytesIO(b"xyz"), io.BytesIO()
+    with pytest.raises(ValueError, match="mismatch"):
+        whiten_stream(source, pool, cfg, CounterSource("k"), sink)
+    assert source.tell() == 0 and sink.getvalue() == b""
 
 
 def test_unwhiten_rejects_wrong_chunk_size():
