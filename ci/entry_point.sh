@@ -56,6 +56,17 @@ grep -qx "bit_count,800024" r.csv
 grep -qx "ones_count,400180" r.csv
 grep -qx "serial_correlation,-0.012641257443903525" r.csv
 grep -qx "monte_carlo_pi,3.1367372652546948" r.csv
+# A regular file of more than one read is read as two halves at once;
+# a pipe is read in one pass. Both must give the same report.
+python -c 'import sys; from permwhite.entropy import CounterSource; sys.stdout.buffer.write(CounterSource("ci-split").read_bytes((2 << 20) + 7))' > big.bin
+permwhite analyze big.bin --csv split.csv > /dev/null
+cat big.bin | permwhite analyze /dev/stdin --csv pipe.csv > /dev/null
+cmp split.csv pipe.csv
+grep -qx "byte_count,2097159" split.csv
+grep -qx "bit_count,16777272" split.csv
+grep -qx "ones_count,8390055" split.csv
+grep -qx "serial_correlation,0.00041973800210967996" split.csv
+grep -qx "monte_carlo_pi,3.1400010299662973" split.csv
 # in.bin is 100,003 bytes, so its last read ends on an odd byte,
 # which the pair histogram adds by hand; fig.csv pins the
 # chi-square and mean of both files' histograms. compare also

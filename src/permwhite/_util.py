@@ -1,5 +1,7 @@
 """Small shared stream-reading helpers."""
 
+import os
+
 from .errors import FormatError
 
 BLOCK_BYTES = 1 << 20
@@ -37,6 +39,20 @@ def iter_blocks(source, size: int = BLOCK_BYTES):
         del block
         if last:
             return
+
+
+def iter_range(fd: int, start: int, stop: int, size: int):
+    """Yield ``size``-byte blocks of the bytes at offsets [start, stop) of
+    file descriptor ``fd``, read by offset with ``os.pread``, which moves
+    no file position, so threads may read one file at once. The last block
+    may be shorter; a read that finds the end of the file ends the blocks."""
+    while start < stop:
+        block = os.pread(fd, min(size, stop - start), start)
+        if not block:
+            return
+        start += len(block)
+        yield block
+        del block
 
 
 def read_exact(source, n: int, what: str) -> bytes:

@@ -22,18 +22,30 @@ and never expands a byte into bits. It counts each 128-bit row's ones,
 which give block frequency and the walk at every row end, and walks byte
 by byte only the rows whose ones leave room for a new extreme of the
 cumulative sums. Every read but the last holds whole points and rows.
+
+A regular file of more than one read is read as two halves at once, the
+caller's thread and one worker each reading its half by offset; the cut
+is a multiple of 48 bytes, so each half's reads hold whole points and
+rows too. The second half's accumulators are merged into the first's:
+counts and sums add, the seam adds one serial product and one bit
+transition, and the second half's walk starts where the first ends. As
+every sum is an exact integer, every statistic is that of one pass.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import os
+import stat
+import threading
 from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
 
-from ._util import BLOCK_BYTES, iter_blocks
+from ._util import BLOCK_BYTES, iter_blocks, iter_range
 from .errors import PreconditionError
 
 # Distance-to-ideal targets used for improvement verdicts.
@@ -117,21 +129,36 @@ def _translation(values) -> bytes:
     return bytes(v & 0xFF for v in values)
 
 
-_POPCOUNT_T = bytes(POPCOUNT)
+_M1, _M2, _M4 = (np.uint64(m * 0x0101010101010101) for m in (0x55, 0x33, 0x0F))
 _STEP_T = _translation(STEP)
 _LOW_T = _translation(lo - end for lo, end in zip(WMIN, STEP))   # relative to the byte's end
 _SPAN_T = _translation(hi - lo for hi, lo in zip(WMAX, WMIN))
 _BLOCK_FREQ_BYTES = _BLOCK_FREQ_BITS // 8
 
 
-def _row_ones(block: bytes, rows: int) -> np.ndarray:
+def _row_ones(block: bytes, rows: int, work: np.ndarray) -> np.ndarray:
     """The number of ones in each of ``block``'s first ``rows`` 16-byte rows,
-    as int64. The popcounts of a row's two 8-byte words are added bytewise,
-    then summed across the word by one multiply that leaves the total in the
-    top byte; no partial sum passes 128, so no byte carries into the next.
-    Returning frees the translated copy before the walk allocates its own."""
-    words = np.ndarray((rows, 2), "<u8", block.translate(_POPCOUNT_T))
-    ones = words[:, 0] + words[:, 1]
+    as int64; ``work`` is scratch of at least ``32 * rows`` bytes. Each
+    8-byte word's bytes are popcounted in place by SWAR shifts and masks
+    (Warren, Hacker's Delight, 5-1), the row's two words added bytewise,
+    and the sum taken across the word by one multiply that leaves the total
+    in the top byte; no partial sum passes 128, so no byte carries into
+    the next. Unlike a ``bytes.translate`` table, numpy's loops release
+    the GIL, so two threads count at once."""
+    words = np.ndarray((2 * rows,), "<u8", block)
+    x, t = _carve(work, 2 * rows, np.uint64, np.uint64)
+    np.right_shift(words, 1, out=t)
+    t &= _M1
+    np.subtract(words, t, out=x)        # each 2-bit field's ones
+    np.right_shift(x, 2, out=t)
+    t &= _M2
+    x &= _M2
+    x += t                              # each nibble's
+    np.right_shift(x, 4, out=t)
+    x += t
+    x &= _M4                            # each byte's
+    pairs = x.reshape(rows, 2)
+    ones = pairs[:, 0] + pairs[:, 1]
     ones *= np.uint64(0x0101010101010101)
     ones >>= np.uint64(56)
     return ones.view(np.int64)
@@ -195,6 +222,20 @@ class _ByteStats:
             inside += np.count_nonzero(xn * xn + yn * yn <= _MC_RADIUS_SQ)
         self.mc_inside += int(inside)
         self.mc_points += points
+
+    def merge(self, later: "_ByteStats") -> None:
+        """Fold in the stats of the bytes that follow this pass's; this
+        pass holds whole 6-byte points. Every sum is exact, so the result
+        is that of one pass over both."""
+        self.counts += later.counts
+        self.n += later.n
+        self.first = self.first or later.first
+        for prev, nxt in zip(self.last, later.first):
+            self.cross_sum += prev * nxt
+        self.cross_sum += later.cross_sum
+        self.last = later.last or self.last
+        self.mc_inside += later.mc_inside
+        self.mc_points += later.mc_points
 
     def entropy(self) -> float:
         p = self.counts[self.counts > 0] / self.n
@@ -263,6 +304,7 @@ class _BitStats:
         self.n = 0               # bits
         self.ones = 0
         self.transitions = 0
+        self.first = b""         # first byte of the stream
         self.last = b""          # final byte of the previous block
         self.bf_sum_sq = 0       # sum over rows of (ones_in_row - 64)^2
         self.bf_blocks = 0
@@ -286,11 +328,12 @@ class _BitStats:
         self.transitions += int(np.count_nonzero(np.not_equal(low, high, out=differ)))
         for prev in self.last:
             self.transitions += (prev & 1) != (block[0] >> 7)
+        self.first = self.first or block[:1]
         self.last = block[-1:]
 
         rows = len(block) // _BLOCK_FREQ_BYTES
         if rows:
-            dev = _row_ones(block, rows)
+            dev = _row_ones(block, rows, work)
             dev -= 64                   # ones - 64; S rises by 2 * dev over the row
 
             # Block frequency sums dev^2. ends[r] is S at the end of row r,
@@ -345,6 +388,23 @@ class _BitStats:
             self.min_s = min(self.min_s, self.running + WMIN[byte])
             self.max_s = max(self.max_s, self.running + WMAX[byte])
             self.running += STEP[byte]
+
+    def merge(self, later: "_BitStats") -> None:
+        """Fold in the stats of the bytes that follow this pass's; this
+        pass holds whole 16-byte rows. Counts add, the seam adds one
+        transition, and the later walk starts where this one ends."""
+        self.n += later.n
+        self.ones += later.ones
+        self.transitions += later.transitions
+        for prev, nxt in zip(self.last, later.first):
+            self.transitions += (prev & 1) != (nxt >> 7)
+        self.first = self.first or later.first
+        self.last = later.last or self.last
+        self.bf_sum_sq += later.bf_sum_sq
+        self.bf_blocks += later.bf_blocks
+        self.min_s = min(self.min_s, self.running + later.min_s)
+        self.max_s = max(self.max_s, self.running + later.max_s)
+        self.running += later.running
 
     def report(self) -> NistLiteReport:
         n, ones = self.n, self.ones
@@ -417,22 +477,78 @@ def _consume(src: BinaryIO, *accumulators) -> tuple:
     256-bin byte histogram; returns the accumulators. A block is the largest
     multiple of 48 = lcm(6, 16) bytes not above ``BLOCK_BYTES``, at least 48.
 
-    Every accumulator is called as ``update(block, counts, work)``, where
-    ``work`` is the one scratch array of ``4 * size`` bytes that serves the
-    whole pass: the histogram's index, then each accumulator in turn. Made
-    once, it spares the allocator a block-sized request per read.
-    Block-sized temporaries freed after every read can let it return the
-    heap's top to the kernel, which then faults the pages in again on the
-    next read, at about half the speed."""
+    A regular file with more than one block left is read as two halves at
+    once, by the caller and one worker thread, each by offset into fresh
+    accumulators; numpy's loops release the GIL, so the halves overlap on
+    two cores. The cut is a multiple of 48 bytes past the file's position,
+    so no Monte Carlo point or 128-bit row straddles it, and each
+    accumulator's ``merge`` folds the second half into the first. Every
+    sum is an exact integer, so the results are those of one pass, which
+    pipes, in-memory streams and files of one block take.
+    """
     # Looked up here, not bound as iter_blocks' default, so that tests can
     # move block boundaries by patching this module's BLOCK_BYTES.
     size = max(48, BLOCK_BYTES - BLOCK_BYTES % 48)
+    span = _file_range(src, size)
+    if span is None:
+        _feed(accumulators, iter_blocks(src, size), size)
+        return accumulators
+    fd, start, stop = span
+    # About half, in whole 48-byte units; neither half is empty.
+    cut = start + max(48, (stop - start) // 96 * 48)
+    later = [type(acc)() for acc in accumulators]
+    failed = []
+
+    def second_half():
+        try:
+            _feed(later, iter_range(fd, cut, stop, size), size)
+        except BaseException as exc:    # raised again in the caller
+            failed.append(exc)
+
+    worker = threading.Thread(target=second_half, name="permwhite-stats")
+    worker.start()
+    try:
+        _feed(accumulators, iter_range(fd, start, cut, size), size)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    src.seek(stop)      # where one pass would leave the file
+    for acc, other in zip(accumulators, later):
+        acc.merge(other)
+    return accumulators
+
+
+def _file_range(src: BinaryIO, size: int):
+    """``(fd, start, stop)`` when ``src`` is a file object reading a regular
+    file straight from its descriptor, with more than ``size`` bytes from
+    its position ``start`` to its end ``stop``; else None. A wrapper such
+    as ``gzip.GzipFile`` shares its file's descriptor but not its bytes, so
+    only a file object whose raw stream is an ``io.FileIO`` qualifies, and
+    only where ``os.pread`` exists."""
+    if not (hasattr(os, "pread") and isinstance(getattr(src, "raw", src), io.FileIO)):
+        return None
+    fd = src.fileno()
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode) or info.st_size - src.tell() <= size:
+        return None
+    return fd, src.tell(), info.st_size
+
+
+def _feed(accumulators, blocks, size: int) -> None:
+    """Feed every block of ``blocks`` and its histogram to each accumulator
+    as ``update(block, counts, work)``. ``work`` is the one scratch array
+    of ``4 * size`` bytes that serves the whole pass: the histogram's index,
+    then each accumulator in turn. Made once, it spares the allocator a
+    block-sized request per read. Block-sized temporaries freed after every
+    read can let it return the heap's top to the kernel, which then faults
+    the pages in again on the next read, at about half the speed. Each
+    thread makes its own, so that it comes from that thread's heap."""
     work = np.empty(4 * size, np.uint8)
-    for block in iter_blocks(src, size):
+    for block in blocks:
         counts = _byte_counts(block, work)
         for acc in accumulators:
             acc.update(block, counts, work)
-    return accumulators
 
 
 def analyze(src: BinaryIO) -> tuple[EntReport, NistLiteReport]:

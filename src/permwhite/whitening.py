@@ -99,7 +99,7 @@ def whiten_stream(
                          f"of {pool.size} bits, config expects {cfg.pool_count} of "
                          f"{1 << cfg.n_qubits} bits")
 
-    permute = _kernel(pool, lambda m: pool.permutations[m].map)
+    permute = _kernel(pool, inverse=False)
     # One growing buffer, viewed as the trace at the end without a copy.
     recorded = bytearray() if cfg.record_selections else None
     for full, chunks, tail in _blocks(input, pool.size):
@@ -144,7 +144,7 @@ def unwhiten_stream(
 ) -> None:
     """Invert a whitening run recorded in ``trace``; bit-exact recovery."""
     check_trace(pool, trace, input)
-    permute = _kernel(pool, lambda m: pool.permutations[m].invert().map)
+    permute = _kernel(pool, inverse=True)
     total, done = trace.indices.size, 0
     for full, chunks, tail in _blocks(input, pool.size):
         if done + chunks > total:
@@ -170,24 +170,34 @@ def _blocks(input, chunk_bits):
         del block
 
 
-def _kernel(pool, member_map):
-    """The table kernel for chunks of at most 8 bits, else the sliced one."""
-    kernel = _table_kernel if pool.size <= 8 else _sliced_kernel
-    return kernel(pool.count, member_map, pool.size)
+def _kernel(pool, inverse: bool):
+    """The table kernel for chunks of at most 8 bits, else the sliced one;
+    with ``inverse``, each member's permutation is undone."""
+    if pool.size <= 8:
+        return _table_kernel(np.stack([p.map for p in pool.permutations]), inverse)
+    if inverse:     # a member is inverted when a block first selects it
+        return _sliced_kernel(pool.count, lambda m: pool.permutations[m].invert().map,
+                              pool.size)
+    return _sliced_kernel(pool.count, lambda m: pool.permutations[m].map, pool.size)
 
 
-def _table_kernel(count, member_map, chunk_bits):
+def _table_kernel(columns, inverse):
     """Chunks of at most 8 bits: each byte holds 8/N whole chunks, and each
     pool member's 2^N-entry table is its permutation applied to every chunk
-    value, stored flat, member m at ``m << N``. All are built in one product:
-    entry (m, v) is v's bits gathered through m's map, weighed by place."""
+    value, stored flat, member m at ``m << N``. Row m of ``columns`` is m's
+    map: output bit i is input bit ``columns[m, i]``. All tables are built
+    in one product: entry (m, v) is v's bits gathered through m's map,
+    weighed by place. With ``inverse`` the maps are inverted together, in
+    one argsort (``map[i] = j`` puts i at j), not member by member."""
+    chunk_bits = columns.shape[1]
     # bits[i, v] is bit i of chunk value v, bit 0 the most significant, and
     # places[i] its place value 2^(N-1-i).
     bits = np.unpackbits(np.arange(1 << chunk_bits, dtype=np.uint8)[None], axis=0)
     bits = bits[8 - chunk_bits:]
     places = np.left_shift(1, np.arange(chunk_bits - 1, -1, -1, dtype=np.uint8))
-    # Output bit i is input bit columns[m, i]; a sum is at most 255.
-    columns = np.stack([member_map(m) for m in range(count)])
+    if inverse:
+        columns = np.argsort(columns, axis=1)
+    # A sum is at most 255.
     tables = np.einsum("mnv,n->mv", bits[columns], places, dtype=np.uint8).ravel()
     mask = (1 << chunk_bits) - 1
     per_byte = 8 // chunk_bits

@@ -7,6 +7,7 @@ import hashlib
 import io
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ def test_table_path_with_more_than_256_members(n_qubits):
     pool = random_pool(n_qubits, 300, 300 + n_qubits)
     assert whiten(data, pool)[1].indices.max() >= 256
     check_against_oracle(data, pool)
+
+
+@pytest.mark.parametrize("n_qubits", (1, 2, 3))
+def test_table_path_unwhitens_without_inverting_members(n_qubits):
+    # The inverse tables come from the pool's maps inverted together, so
+    # no member is inverted on its own before the first block.
+    data = CounterSource(f"kernel-inverse-{n_qubits}").read_bytes(4099)
+    pool = random_pool(n_qubits, 300, 400 + n_qubits)
+    white, trace = whiten(data, pool)
+    out = io.BytesIO()
+    with mock.patch.object(IndexPermutation, "invert", autospec=True,
+                           side_effect=IndexPermutation.invert) as spy:
+        unwhiten_stream(io.BytesIO(white), pool, trace, out)
+    assert spy.call_count == 0
+    assert out.getvalue() == data
 
 
 def test_recording_holds_the_trace_once():

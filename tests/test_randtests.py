@@ -142,30 +142,51 @@ def test_streaming_is_block_boundary_invariant(monkeypatch):
 
 
 class BlockLengths:
-    """An accumulator that only records the length of each block it is fed
-    and the size of the workspace that comes with it."""
+    """An accumulator that only records the length of each block it is fed,
+    the size of the workspace that comes with it, and how many later
+    passes were merged into it."""
 
     def __init__(self):
         self.lengths = []
         self.work_sizes = []
+        self.merges = 0
 
     def update(self, block, counts, work):
         self.lengths.append(len(block))
         self.work_sizes.append(work.size)
 
+    def merge(self, later):
+        self.lengths += later.lengths
+        self.work_sizes += later.work_sizes
+        self.merges += 1 + later.merges
+
+
+def check_reads(src, size, monkeypatch, block):
+    # 48 is the lcm of a 6-byte Monte Carlo point and a 16-byte row, so
+    # only the last read may end inside either.
+    monkeypatch.setattr("permwhite.randtests.BLOCK_BYTES", block)
+    (spy,) = randtests._consume(src, BlockLengths())
+    assert len(spy.lengths) > 1
+    assert all(n % 48 == 0 for n in spy.lengths[:-1])
+    assert sum(spy.lengths) == size
+    # _byte_counts needs 4 bytes of workspace per byte of a read.
+    assert all(w >= 4 * n for n, w in zip(spy.lengths, spy.work_sizes))
+    return spy
+
 
 @pytest.mark.parametrize("block", (1, 47, 48, 49, 100, 9973))
 def test_reads_hold_whole_points_and_rows(monkeypatch, block):
-    # 48 is the lcm of a 6-byte Monte Carlo point and a 16-byte row, so
-    # only the last read may end inside either.
     data = CounterSource("framing").read_bytes(30_001)
-    monkeypatch.setattr("permwhite.randtests.BLOCK_BYTES", block)
-    (spy,) = randtests._consume(io.BytesIO(data), BlockLengths())
-    assert len(spy.lengths) > 1
-    assert all(n % 48 == 0 for n in spy.lengths[:-1])
-    assert sum(spy.lengths) == len(data)
-    # _byte_counts needs 4 bytes of workspace per byte of a read.
-    assert all(w >= 4 * n for n, w in zip(spy.lengths, spy.work_sizes))
+    assert check_reads(io.BytesIO(data), len(data), monkeypatch, block).merges == 0
+
+
+@pytest.mark.parametrize("block", (1, 47, 48, 49, 100, 9973))
+def test_file_reads_hold_whole_points_and_rows(tmp_path, monkeypatch, block):
+    # A regular file is read as two halves, each its own sequence of reads.
+    path = tmp_path / "framing.bin"
+    path.write_bytes(CounterSource("framing").read_bytes(30_001))
+    with open(path, "rb") as fh:
+        assert check_reads(fh, 30_001, monkeypatch, block).merges == 1
 
 
 def test_precondition_errors():
