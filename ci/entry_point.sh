@@ -44,6 +44,13 @@ da64e1235196939b10a8cc6d060ecbcea7c9db9fdd5ef8f4ae55fb3e28416b4e  small.pool
 SUMS
 permwhite unwhiten swhite.bin sback.bin --pool small.pool --trace s.trace
 cmp in.bin sback.bin
+# The same table-kernel round trip through pipes: each block is filled
+# from short reads.
+cat in.bin | permwhite whiten /dev/stdin pswhite.bin --pool small.pool --trace ps.trace --source det
+cmp pswhite.bin swhite.bin
+cmp ps.trace s.trace
+cat swhite.bin | permwhite unwhiten /dev/stdin psback.bin --pool small.pool --trace s.trace
+cmp psback.bin in.bin
 # analyze imports scipy only after its pass; compare never does.
 permwhite analyze white.bin --csv r.csv > /dev/null
 test -s r.csv

@@ -26,6 +26,27 @@ def read_up_to(source, n: int) -> bytes:
     return b"".join(parts)
 
 
+def read_into(source, buf) -> int:
+    """Fill the writable ``buf`` from ``source``, looping over short reads;
+    return the byte count, short of ``len(buf)`` only at EOF. A source with
+    ``readinto`` reads straight into ``buf``; another is read, at most
+    ``len(buf)`` bytes a call, and copied."""
+    view = memoryview(buf).cast("B")
+    readinto = getattr(source, "readinto", None)
+    done = 0
+    while done < len(view):
+        if readinto is not None:
+            got = readinto(view[done:])
+        else:
+            chunk = source.read(len(view) - done)
+            got = len(chunk)
+            view[done:done + got] = chunk
+        if not got:
+            break
+        done += got
+    return done
+
+
 def iter_blocks(source, size: int = BLOCK_BYTES):
     """Yield ``size``-byte blocks of ``source`` until a short read; the
     last block may be shorter, and no block is empty. A block is let go

@@ -6,8 +6,10 @@ when N > 8, since every byte then may not fill a whole chunk) is copied
 through unchanged rather than padded or dropped. Each direction is one
 loop, in one thread, over the blocks that ``_blocks`` reads: whitening draws
 a block's selections in chunk-ordinal order and records them, unwhitening
-slices them from the trace; then the block is permuted and written, and let
-go before the next block is read.
+slices them from the trace; then the block is permuted and written before
+the next block is read. A block is read (``readinto`` where the reader has
+it, else read and copied) straight into a buffer the kernel holds, so no
+block-sized bytes object sits beside the kernel's own memory.
 
 Two kernels permute a block's chunks, and each returns the block as one
 1-D uint8 array that is written as it is. Chunks of at most 8 bits go
@@ -18,8 +20,18 @@ the chunks that selected one member are stacked in groups of 8 rows, and an
 for chunks of B bytes. The member's map carried into plane order,
 ``P . map . P^-1``, then moves bytes instead of bits, and the same transpose
 turns the planes back into rows. Each member's plane-order map is built
-from its own map (its inverse when unwhitening) the first time a block
-selects it.
+from its map the first time a block of a call selects it; unwhitening
+scatters it into its inverse.
+
+Each thread keeps across calls what the kernels read into and work in, so a
+process that whitens file after file does not fault those pages in again:
+- the sliced kernel's two buffers, each sized for a full block's rows plus
+  7 pad rows for each member the block can select, 2 x 1.22 MiB at n=13,
+  M=32 and 2 x 8 MiB at n=16, M=300;
+- its plane maps, M x 2^n x 2 bytes once every member has been selected:
+  0.5 MiB at n=13, M=32, and up to 37.5 MiB at n=16, M=300;
+- the table kernel's 1 MiB input buffer, whose pages a short input never
+  touches and so never makes resident.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
-from ._util import iter_blocks
+from ._util import BLOCK_BYTES, read_into
 from ._util import read_end as _read_end
 from ._util import read_exact as _read_exact
 from .entropy import EntropySource
@@ -99,17 +111,16 @@ def whiten_stream(
                          f"of {pool.size} bits, config expects {cfg.pool_count} of "
                          f"{1 << cfg.n_qubits} bits")
 
-    permute = _kernel(pool, inverse=False)
+    block, permute = _kernel(pool, inverse=False)
     # One growing buffer, viewed as the trace at the end without a copy.
     recorded = bytearray() if cfg.record_selections else None
-    for full, chunks, tail in _blocks(input, pool.size):
+    for full, chunks, tail in _blocks(input, pool.size, block):
         sel = selector.random_indices(pool.count, chunks)
         if recorded is not None:
             recorded.extend(np.ascontiguousarray(sel, dtype="<u4"))
         output.write(permute(full, sel))
         if tail:
             output.write(tail)
-        del full, tail
     if recorded is None:
         return None
     return SelectionTrace(chunk_bits=pool.size,
@@ -144,9 +155,9 @@ def unwhiten_stream(
 ) -> None:
     """Invert a whitening run recorded in ``trace``; bit-exact recovery."""
     check_trace(pool, trace, input)
-    permute = _kernel(pool, inverse=True)
+    block, permute = _kernel(pool, inverse=True)
     total, done = trace.indices.size, 0
-    for full, chunks, tail in _blocks(input, pool.size):
+    for full, chunks, tail in _blocks(input, pool.size, block):
         if done + chunks > total:
             raise ValueError(f"trace too short: {total} entries, "
                              f"input has more than {done + chunks - 1} chunks")
@@ -154,31 +165,33 @@ def unwhiten_stream(
         done += chunks
         if tail:
             output.write(tail)
-        del full, tail
     if done != total:
         raise ValueError(f"trace too long: {total} entries for {done} chunks")
 
 
-def _blocks(input, chunk_bits):
-    """Each block of ``input`` as (full chunks' bytes, chunk count, tail of
-    whole bytes); a chunk holds at most 8 KiB, so only the last block has a tail.
-    Neither this loop nor the caller's may hold a block while the next is read."""
-    for block in iter_blocks(input):
-        chunks, tail_bits = frame(8 * len(block), chunk_bits)
-        full = len(block) - tail_bits // 8
-        yield block[:full], chunks, block[full:]
-        del block
+def _blocks(input, chunk_bits, block):
+    """Each block of ``input``, read into the kernel's buffer ``block``, as
+    (a view of its full chunks' bytes, chunk count, tail of whole bytes); a
+    chunk holds at most 8 KiB, so only the last block has a tail, which is
+    copied out. A view stays valid until the next block is read, so neither
+    this loop nor the caller's may use one after that."""
+    block = block[:BLOCK_BYTES]
+    while size := read_into(input, block):
+        chunks, tail_bits = frame(8 * size, chunk_bits)
+        full = size - tail_bits // 8
+        yield block[:full], chunks, block[full:size].tobytes()
+        if size < BLOCK_BYTES:
+            return
 
 
 def _kernel(pool, inverse: bool):
-    """The table kernel for chunks of at most 8 bits, else the sliced one;
-    with ``inverse``, each member's permutation is undone."""
+    """The table kernel for chunks of at most 8 bits, else the sliced one,
+    as (the buffer each block is read into, the block's permutation); with
+    ``inverse``, each member's permutation is undone."""
+    maps = [p.map for p in pool.permutations]
     if pool.size <= 8:
-        return _table_kernel(np.stack([p.map for p in pool.permutations]), inverse)
-    if inverse:     # a member is inverted when a block first selects it
-        return _sliced_kernel(pool.count, lambda m: pool.permutations[m].invert().map,
-                              pool.size)
-    return _sliced_kernel(pool.count, lambda m: pool.permutations[m].map, pool.size)
+        return _table_kernel(np.stack(maps), inverse)
+    return _sliced_kernel(maps, inverse)
 
 
 def _table_kernel(columns, inverse):
@@ -202,8 +215,7 @@ def _table_kernel(columns, inverse):
     mask = (1 << chunk_bits) - 1
     per_byte = 8 // chunk_bits
 
-    def process(buf: bytes, sel: np.ndarray) -> np.ndarray:
-        data = np.frombuffer(buf, dtype=np.uint8)
+    def process(data: np.ndarray, sel: np.ndarray) -> np.ndarray:
         out = np.zeros_like(data)
         for j in range(per_byte):
             shift = 8 - chunk_bits * (j + 1)
@@ -211,7 +223,7 @@ def _table_kernel(columns, inverse):
             out |= tables.take(idx) << shift
         return out
 
-    return process
+    return _buffers("block", 1, BLOCK_BYTES)[0], process
 
 
 # Warren, Hacker's Delight, 7-3: transpose an 8x8 bit matrix by three rounds
@@ -283,21 +295,33 @@ def _plane_map(bit_map: np.ndarray) -> np.ndarray:
     return ((bit & 7) * chunk_bytes + (bit >> 3)).reshape(-1)
 
 
-# The sliced kernel's two block buffers, one pair per thread, kept across
-# blocks and calls so that their pages are not faulted in afresh; a pair
-# grows to the largest padded block its thread has permuted.
+# What a thread keeps across blocks and calls, so that the pages are not
+# faulted in afresh: the table kernel's input block, the sliced kernel's two
+# block buffers and its members' plane maps. A buffer grows to the largest
+# size its thread has asked for; the maps belong to the last pool shape.
 _held = threading.local()
 
 
-def _buffers(size):
-    """Views of ``size`` bytes into this thread's two block buffers."""
-    if getattr(_held, "pair", None) is None or _held.pair[0].size < size:
-        _held.pair = None  # the smaller pair goes before the larger is made
-        _held.pair = [np.empty(size, dtype=np.uint8) for _ in range(2)]
-    return [buf[:size] for buf in _held.pair]
+def _buffers(name, count, size):
+    """This thread's ``count`` buffers kept as ``name``, of ``size`` bytes or more."""
+    held = getattr(_held, name, None)
+    if held is None or held[0].size < size:
+        setattr(_held, name, None)  # the smaller go before the larger are made
+        held = [np.empty(size, dtype=np.uint8) for _ in range(count)]
+        setattr(_held, name, held)
+    return held
 
 
-def _sliced_kernel(count, member_map, chunk_bits):
+def _plane_maps(count, chunk_bits):
+    """This thread's slots for the plane maps of a pool of ``count`` members
+    of ``chunk_bits`` bits, each None until a member first needs one."""
+    if getattr(_held, "maps_shape", None) != (count, chunk_bits):
+        _held.maps = [None] * count
+        _held.maps_shape = (count, chunk_bits)
+    return _held.maps
+
+
+def _sliced_kernel(maps, inverse):
     """Chunks of 16 or more bits, bit-sliced (Biham, FSE 1997). The chunks
     that selected one member are stacked in groups of 8 rows of B bytes, and
     an 8x8 bit transpose across each group's rows, in place, leaves row k,
@@ -305,19 +329,36 @@ def _sliced_kernel(count, member_map, chunk_bits):
     ``P(p) = (p & 7) * B + (p >> 3)`` of the group's 8B bytes, its plane.
     Permuting a chunk's bits is permuting the group's planes through the
     member's map in plane order, ``P . map . P^-1``, one ``take`` per
-    member, and a second transpose turns the planes back into rows. The
-    array a block returns lives in a buffer of its thread that the next
-    block reuses."""
+    member, and a second transpose turns the planes back into rows. With
+    ``inverse``, each plane map is inverted, by scattering, when a block
+    first selects its member. A block is read into the buffer that holds the
+    permuted planes, which is idle until the first transpose, and the array
+    a block returns lives in the other buffer: the next block reuses both."""
+    count, chunk_bits = len(maps), maps[0].size
     chunk_bytes = chunk_bits // 8
     # Sorting one- or two-byte keys takes numpy's stable radix sort.
     key_dtype = np.min_scalar_type(count - 1)
+    # A full block's rows, plus at most 7 pad rows per member it selects.
+    block_rows = BLOCK_BYTES // chunk_bytes
+    pair = _buffers("pair", 2, (block_rows + 7 * min(count, block_rows)) * chunk_bytes)
+    planes_of = _plane_maps(count, chunk_bits)
+    built = [False] * count
 
-    @functools.lru_cache(maxsize=None)
     def plane_map(m):
-        return _plane_map(member_map(m))
+        # The slots outlive the call, so each map is rebuilt in place.
+        if not built[m]:
+            if planes_of[m] is None:
+                planes_of[m] = np.empty(chunk_bits, dtype=np.uint16)
+            plane = _plane_map(maps[m])
+            if inverse:     # P . map^-1 . P^-1 = (P . map . P^-1)^-1
+                planes_of[m][plane] = np.arange(chunk_bits, dtype=np.uint16)
+            else:
+                planes_of[m][:] = plane
+            built[m] = True
+        return planes_of[m]
 
-    def process(buf: bytes, sel: np.ndarray) -> np.ndarray:
-        rows = np.frombuffer(buf, dtype=np.uint8).reshape(-1, chunk_bytes)
+    def process(block: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        rows = block.reshape(-1, chunk_bytes)
         # Group the rows by member, in stable order, with each member's rows
         # padded to whole groups of 8 by sort keys after them. A pad's index
         # lies past the last row: "clip" reads that row, dropped at the end.
@@ -326,10 +367,11 @@ def _sliced_kernel(count, member_map, chunk_bits):
         first = np.cumsum(groups) - groups
         pads = np.repeat(np.arange(count, dtype=key_dtype), 8 * groups - counts)
         order = np.argsort(np.concatenate((sel.astype(key_dtype), pads)), kind="stable")
-        grouped, permuted = _buffers(order.size * chunk_bytes)
+        grouped, permuted = (buf[:order.size * chunk_bytes] for buf in pair)
         np.take(rows, order, axis=0, out=grouped.reshape(-1, chunk_bytes), mode="clip")
 
-        # Each transpose takes its scratch from the buffer it leaves idle.
+        # Each transpose takes its scratch from the buffer it leaves idle;
+        # the first overwrites the block, read for the last time above.
         _bit_transpose(grouped.view(_WORD), permuted.view(_WORD), chunk_bytes)
         planes = grouped.reshape(-1, chunk_bits)
         for m in np.flatnonzero(counts):
@@ -346,7 +388,7 @@ def _sliced_kernel(count, member_map, chunk_bits):
                 out=out.reshape(-1, chunk_bytes), mode="clip")
         return out
 
-    return process
+    return pair[1], process
 
 
 def trace_save(trace: SelectionTrace, sink: BinaryIO) -> None:

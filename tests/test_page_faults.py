@@ -10,10 +10,13 @@ it in again on the next one, and runs about half as fast.
 Order matters, so each set runs in the benchmark's order, after an
 in-process gen-pool. A third set is a fresh process that loads its pool
 from a file written before it started and runs only untraced whitens.
-It faults none either, because the kernel's buffers belong to the thread
-and outlive each call; when each call made its own, the heap's top was
-trimmed as they were freed and every whiten after the first faulted about
-800 pages."""
+It faults none either, because the kernel's buffers and its members'
+plane-order maps (32 x 16 KiB here) belong to the thread and outlive each
+call. When each call made its own buffers, the heap's top was trimmed as
+they were freed and every whiten after the first faulted about 800 pages;
+when each call made its own plane maps, and no 1 MiB input block was freed
+per read to raise the allocator's trim threshold, the maps were trimmed
+after each call and every whiten faulted about 124 pages."""
 
 import os
 import subprocess
