@@ -92,6 +92,15 @@ permwhite xor in.bin white.bin x.bin
 sha256sum -c - <<'SUMS'
 5911afe87682218c0354c22415d05f44b284ae4cb0a9a7884e2a599284b3dff8  x.bin
 SUMS
+# The same vn, xor and compare through pipes, whose blocks are filled
+# from short reads: each output matches its pin.
+cat in.bin | permwhite vn /dev/stdin pvn.bin
+cmp pvn.bin vn.bin
+cat white.bin | permwhite xor in.bin /dev/stdin px.bin
+cmp px.bin x.bin
+cat white.bin | permwhite compare in.bin /dev/stdin --label-after white.bin \
+    --figure-csv pfig.csv > /dev/null
+cmp pfig.csv fig.csv
 # An output takes the mode open() gives under the caller's umask.
 (umask 027 && permwhite vn in.bin m.bin)
 test "$(stat -c %a m.bin)" = 640

@@ -1,6 +1,6 @@
-"""Small shared stream-reading helpers."""
+"""Shared stream-reading helpers, and ``fill_blocks``, the one block loop."""
 
-import os
+import errno
 
 from .errors import FormatError
 
@@ -16,13 +16,9 @@ def read_up_to(source, n: int) -> bytes:
     really holds.
     """
     parts = []
-    remaining = n
-    while remaining > 0:
-        chunk = source.read(min(remaining, BLOCK_BYTES))
-        if not chunk:
-            break
+    while n > 0 and (chunk := _checked(source.read(min(n, BLOCK_BYTES)))):
         parts.append(chunk)
-        remaining -= len(chunk)
+        n -= len(chunk)
     return b"".join(parts)
 
 
@@ -36,9 +32,9 @@ def read_into(source, buf) -> int:
     done = 0
     while done < len(view):
         if readinto is not None:
-            got = readinto(view[done:])
+            got = _checked(readinto(view[done:]))
         else:
-            chunk = source.read(len(view) - done)
+            chunk = _checked(source.read(len(view) - done))
             got = len(chunk)
             view[done:done + got] = chunk
         if not got:
@@ -47,33 +43,21 @@ def read_into(source, buf) -> int:
     return done
 
 
-def iter_blocks(source, size: int = BLOCK_BYTES):
-    """Yield ``size``-byte blocks of ``source`` until a short read; the
-    last block may be shorter, and no block is empty. A block is let go
-    before the next is read, so a caller that drops its own reference
-    holds one block at a time."""
-    while True:
-        block = read_up_to(source, size)
-        last = len(block) < size
-        if block:
-            yield block
-        del block
-        if last:
-            return
+def _checked(got):
+    """A read's result, unless it is a non-blocking reader's None: no data yet."""
+    if got is None:
+        raise BlockingIOError(errno.EAGAIN, "the input has no data ready")
+    return got
 
 
-def iter_range(fd: int, start: int, stop: int, size: int):
-    """Yield ``size``-byte blocks of the bytes at offsets [start, stop) of
-    file descriptor ``fd``, read by offset with ``os.pread``, which moves
-    no file position, so threads may read one file at once. The last block
-    may be shorter; a read that finds the end of the file ends the blocks."""
-    while start < stop:
-        block = os.pread(fd, min(size, stop - start), start)
-        if not block:
+def fill_blocks(source, buf):
+    """Yield ``buf[:n]`` for each fill of ``buf`` by ``read_into`` until a
+    short fill, so none is empty; each is a view of ``buf``, of its kind,
+    and the next fill overwrites it."""
+    while size := read_into(source, buf):
+        yield buf[:size]
+        if size < len(buf):
             return
-        start += len(block)
-        yield block
-        del block
 
 
 def read_exact(source, n: int, what: str) -> bytes:
@@ -86,5 +70,5 @@ def read_exact(source, n: int, what: str) -> bytes:
 
 def read_end(source, what: str) -> None:
     """Raise FormatError if ``source`` holds any byte after ``what``."""
-    if source.read(1):
+    if _checked(source.read(1)):
         raise FormatError(f"trailing bytes after {what}")

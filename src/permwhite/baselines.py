@@ -2,7 +2,9 @@
 combiner and the Von Neumann pairwise debiaser, which reads big-endian
 16-bit words through a 65,536-entry table, joins what each 8 input bytes
 keep into one field of at most 32 bits, and places the fields straight
-into output words; it never expands a byte into bits."""
+into output words; it never expands a byte into bits. Both read through
+``_util.fill_blocks``: the combiner into a buffer per stream, the debiaser
+into one step's buffer with room to pad it."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._util import iter_blocks
+from ._util import BLOCK_BYTES, fill_blocks
 
 # Bytes per von_neumann step: 64 KiB keeps the step's temporaries in cache.
 _VN_STEP = 1 << 16
@@ -37,11 +39,10 @@ def _word_codes() -> np.ndarray:
 def xor_combine(a: BinaryIO, b: BinaryIO, out: BinaryIO) -> int:
     """XOR two byte streams; stops at the shorter one. Returns bytes written."""
     written = 0
-    for ba, bb in zip(iter_blocks(a), iter_blocks(b)):
-        n = min(len(ba), len(bb))
-        xa = np.frombuffer(ba, dtype=np.uint8, count=n)
-        xb = np.frombuffer(bb, dtype=np.uint8, count=n)
-        out.write(xa ^ xb)
+    bufs = np.empty((2, BLOCK_BYTES), np.uint8)
+    for ba, bb in zip(fill_blocks(a, bufs[0]), fill_blocks(b, bufs[1])):
+        n = min(ba.size, bb.size)
+        out.write(np.bitwise_xor(ba[:n], bb[:n], out=ba[:n]))
         written += n
     return written
 
@@ -54,9 +55,11 @@ def von_neumann(input: BinaryIO, out: BinaryIO) -> int:
     """
     emitted = 0
     partial = 0  # the emitted % 32 bits not yet written, left-aligned
-    for block in iter_blocks(input, _VN_STEP):
+    buf = np.empty(_VN_STEP + 7, np.uint8)
+    for block in fill_blocks(input, buf[:_VN_STEP]):
         # A zero byte keeps nothing, so padding to 8 bytes changes no field.
-        e = _word_codes().take(np.frombuffer(block + bytes(-len(block) % 8), ">u2"))
+        buf[block.size:] = 0
+        e = _word_codes().take(buf[:block.size + -block.size % 8].view(">u2"))
         v, c = e >> 4, e & 15
         for _ in range(2):
             v = v.reshape(-1, 2)

@@ -45,7 +45,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._util import BLOCK_BYTES, iter_blocks, iter_range
+from ._util import BLOCK_BYTES, fill_blocks
 from .errors import PreconditionError
 
 # Distance-to-ideal targets used for improvement verdicts.
@@ -136,7 +136,7 @@ _SPAN_T = _translation(hi - lo for hi, lo in zip(WMAX, WMIN))
 _BLOCK_FREQ_BYTES = _BLOCK_FREQ_BITS // 8
 
 
-def _row_ones(block: bytes, rows: int, work: np.ndarray) -> np.ndarray:
+def _row_ones(block, rows: int, work: np.ndarray) -> np.ndarray:
     """The number of ones in each of ``block``'s first ``rows`` 16-byte rows,
     as int64; ``work`` is scratch of at least ``32 * rows`` bytes. Each
     8-byte word's bytes are popcounted in place by SWAR shifts and masks
@@ -170,15 +170,15 @@ class _ByteStats:
     def __init__(self):
         self.counts = np.zeros(256, dtype=np.int64)
         self.n = 0
-        self.first = b""            # first byte of the stream
-        self.last = b""             # last byte of the previous block
+        self.first = b""            # first byte of the stream, a copy
+        self.last = b""             # last byte of the previous block, a copy
         self.cross_sum = 0          # sum of x_i * x_{i+1}, non-circular part
         self.mc_inside = 0
         self.mc_points = 0
 
-    def update(self, block: bytes, counts: np.ndarray, work: np.ndarray) -> None:
-        """Every block but the last holds whole 6-byte points. ``work`` is
-        scratch of at least ``17 * (len(block) // 6)`` bytes."""
+    def update(self, block, counts: np.ndarray, work: np.ndarray) -> None:
+        """``block`` may be a view; every block but the last holds whole 6-byte
+        points. ``work`` is scratch of at least ``17 * (len(block) // 6)`` bytes."""
         # The products of adjacent bytes are summed by einsum in float32 rows
         # of _CROSS_ROW, cast inside its buffer so that no widened copy of the
         # block is made. A row sums to at most 256 * 255^2 < 2^24, so every
@@ -188,7 +188,7 @@ class _ByteStats:
         # is added on its own.
         self.counts += counts
         self.n += len(block)
-        self.first = self.first or block[:1]
+        self.first = self.first or bytes(block[:1])
         a = np.frombuffer(block, np.uint8)
         rows = (a.size - 1) // _CROSS_ROW
         w = rows * _CROSS_ROW
@@ -198,7 +198,7 @@ class _ByteStats:
         self.cross_sum += int(np.einsum("i,i", a[w:-1], a[w + 1:], dtype=np.int64))
         for prev in self.last:
             self.cross_sum += prev * block[0]
-        self.last = block[-1:]
+        self.last = bytes(block[-1:])
 
         points = len(block) // 6
         if not points:
@@ -304,17 +304,17 @@ class _BitStats:
         self.n = 0               # bits
         self.ones = 0
         self.transitions = 0
-        self.first = b""         # first byte of the stream
-        self.last = b""          # final byte of the previous block
+        self.first = b""         # first byte of the stream, a copy
+        self.last = b""          # final byte of the previous block, a copy
         self.bf_sum_sq = 0       # sum over rows of (ones_in_row - 64)^2
         self.bf_blocks = 0
         self.running = 0         # S_k at the end of the last byte read
         self.min_s = 0           # min over k >= 0 of S_k so far
         self.max_s = 0
 
-    def update(self, block: bytes, counts: np.ndarray, work: np.ndarray) -> None:
-        """Every block but the last holds whole 16-byte rows. ``work`` is
-        scratch of at least ``3 * len(block)`` bytes."""
+    def update(self, block, counts: np.ndarray, work: np.ndarray) -> None:
+        """``block`` may be a view; every block but the last holds whole
+        16-byte rows. ``work`` is scratch of at least ``3 * len(block)`` bytes."""
         self.n += 8 * len(block)
         self.ones += int(counts @ POPCOUNT)
         # Runs: transitions inside each byte, then between adjacent bytes
@@ -328,8 +328,8 @@ class _BitStats:
         self.transitions += int(np.count_nonzero(np.not_equal(low, high, out=differ)))
         for prev in self.last:
             self.transitions += (prev & 1) != (block[0] >> 7)
-        self.first = self.first or block[:1]
-        self.last = block[-1:]
+        self.first = self.first or bytes(block[:1])
+        self.last = bytes(block[-1:])
 
         rows = len(block) // _BLOCK_FREQ_BYTES
         if rows:
@@ -454,7 +454,7 @@ def _carve(work: np.ndarray, count: int, *dtypes) -> list:
     return [work[end - size:end].view(d) for d, size, end in zip(dtypes, sizes, ends)]
 
 
-def _byte_counts(block: bytes, work: np.ndarray) -> np.ndarray:
+def _byte_counts(block, work: np.ndarray) -> np.ndarray:
     """The 256-bin histogram of ``block``, from one ``np.bincount`` of its
     native uint16 pairs; ``work`` holds at least ``4 * len(block)`` bytes.
 
@@ -475,23 +475,29 @@ def _byte_counts(block: bytes, work: np.ndarray) -> np.ndarray:
 def _consume(src: BinaryIO, *accumulators) -> tuple:
     """Read ``src`` once, feeding every accumulator each block and its
     256-bin byte histogram; returns the accumulators. A block is the largest
-    multiple of 48 = lcm(6, 16) bytes not above ``BLOCK_BYTES``, at least 48.
+    multiple of 48 = lcm(6, 16) bytes not above ``BLOCK_BYTES``, at least 48;
+    ``fill_blocks`` reads each into a buffer that its thread holds.
 
     A regular file with more than one block left is read as two halves at
-    once, by the caller and one worker thread, each by offset into fresh
-    accumulators; numpy's loops release the GIL, so the halves overlap on
-    two cores. The cut is a multiple of 48 bytes past the file's position,
-    so no Monte Carlo point or 128-bit row straddles it, and each
-    accumulator's ``merge`` folds the second half into the first. Every
-    sum is an exact integer, so the results are those of one pass, which
-    pipes, in-memory streams and files of one block take.
+    once, by the caller and one worker thread, each through a ``_Range``
+    reader into fresh accumulators; numpy's loops release the GIL, so the
+    halves overlap on two cores. The cut is a multiple of 48 bytes past the
+    file's position, so no Monte Carlo point or 128-bit row straddles it,
+    and each accumulator's ``merge`` folds the second half into the first.
+    Every sum is an exact integer, so the results are those of one pass,
+    which pipes, in-memory streams and files of one block take.
     """
-    # Looked up here, not bound as iter_blocks' default, so that tests can
-    # move block boundaries by patching this module's BLOCK_BYTES.
+    # Looked up here, not bound as a default, so that tests can move block
+    # boundaries by patching this module's BLOCK_BYTES.
     size = max(48, BLOCK_BYTES - BLOCK_BYTES % 48)
+
+    def blocks(reader):
+        # Per thread; a memoryview gives ints, where uint8 wraps seam products.
+        return fill_blocks(reader, memoryview(np.empty(size, np.uint8)))
+
     span = _file_range(src, size)
     if span is None:
-        _feed(accumulators, iter_blocks(src, size), size)
+        _feed(accumulators, blocks(src), size)
         return accumulators
     fd, start, stop = span
     # About half, in whole 48-byte units; neither half is empty.
@@ -501,14 +507,14 @@ def _consume(src: BinaryIO, *accumulators) -> tuple:
 
     def second_half():
         try:
-            _feed(later, iter_range(fd, cut, stop, size), size)
+            _feed(later, blocks(_Range(fd, cut, stop)), size)
         except BaseException as exc:    # raised again in the caller
             failed.append(exc)
 
     worker = threading.Thread(target=second_half, name="permwhite-stats")
     worker.start()
     try:
-        _feed(accumulators, iter_range(fd, start, cut, size), size)
+        _feed(accumulators, blocks(_Range(fd, start, cut)), size)
     finally:
         worker.join()
     if failed:
@@ -519,14 +525,27 @@ def _consume(src: BinaryIO, *accumulators) -> tuple:
     return accumulators
 
 
+class _Range:
+    """Reads offsets [pos, stop) of ``fd`` by ``os.preadv`` at a moving
+    offset; no file position moves, so threads may read one file at once."""
+
+    def __init__(self, fd: int, pos: int, stop: int):
+        self.fd, self.pos, self.stop = fd, pos, stop
+
+    def readinto(self, buf) -> int:
+        got = os.preadv(self.fd, [buf[:self.stop - self.pos]], self.pos)
+        self.pos += got
+        return got
+
+
 def _file_range(src: BinaryIO, size: int):
     """``(fd, start, stop)`` when ``src`` is a file object reading a regular
     file straight from its descriptor, with more than ``size`` bytes from
     its position ``start`` to its end ``stop``; else None. A wrapper such
     as ``gzip.GzipFile`` shares its file's descriptor but not its bytes, so
     only a file object whose raw stream is an ``io.FileIO`` qualifies, and
-    only where ``os.pread`` exists."""
-    if not (hasattr(os, "pread") and isinstance(getattr(src, "raw", src), io.FileIO)):
+    only where ``os.preadv`` exists."""
+    if not (hasattr(os, "preadv") and isinstance(getattr(src, "raw", src), io.FileIO)):
         return None
     fd = src.fileno()
     info = os.fstat(fd)
@@ -560,16 +579,14 @@ def analyze(src: BinaryIO) -> tuple[EntReport, NistLiteReport]:
 
 def ent_analyze(src: BinaryIO) -> EntReport:
     """All five byte-mode statistics in one pass. Needs at least 6 bytes."""
-    (stats,) = _consume(src, _ByteStats())
-    return stats.report()
+    return _consume(src, _ByteStats())[0].report()
 
 
 def monte_carlo_pi(src: BinaryIO) -> float:
     """Estimate pi from disjoint 6-byte points (X, Y as 24-bit coordinates);
     a point is inside when X^2 + Y^2 <= (2^24 - 1)^2. Leftover bytes are
     ignored."""
-    (stats,) = _consume(src, _ByteStats())
-    return stats.monte_carlo_pi()
+    return _consume(src, _ByteStats())[0].monte_carlo_pi()
 
 
 def serial_correlation(src: BinaryIO) -> tuple[float, bool]:
@@ -578,8 +595,7 @@ def serial_correlation(src: BinaryIO) -> tuple[float, bool]:
     Returns (value, defined); a constant stream has zero variance, for
     which (0.0, False) is returned.
     """
-    (stats,) = _consume(src, _ByteStats())
-    return stats.serial_correlation()
+    return _consume(src, _ByteStats())[0].serial_correlation()
 
 
 def nist_lite(src: BinaryIO) -> NistLiteReport:
@@ -588,8 +604,7 @@ def nist_lite(src: BinaryIO) -> NistLiteReport:
     Requires at least 128 bits (the block-frequency test needs one full
     block; monobit alone would need 100).
     """
-    (stats,) = _consume(src, _BitStats())
-    return stats.report()
+    return _consume(src, _BitStats())[0].report()
 
 
 def _cusum_pvalue(z: int, n: int) -> float:

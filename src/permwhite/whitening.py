@@ -7,9 +7,10 @@ through unchanged rather than padded or dropped. Each direction is one
 loop, in one thread, over the blocks that ``_blocks`` reads: whitening draws
 a block's selections in chunk-ordinal order and records them, unwhitening
 slices them from the trace; then the block is permuted and written before
-the next block is read. A block is read (``readinto`` where the reader has
-it, else read and copied) straight into a buffer the kernel holds, so no
-block-sized bytes object sits beside the kernel's own memory.
+the next block is read. A block is read by ``_util.fill_blocks``
+(``readinto`` where the reader has it, else read and copied) straight into
+a buffer the kernel holds, so no block-sized bytes object sits beside the
+kernel's own memory.
 
 Two kernels permute a block's chunks, and each returns the block as one
 1-D uint8 array that is written as it is. Chunks of at most 8 bits go
@@ -47,7 +48,7 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
-from ._util import BLOCK_BYTES, read_into
+from ._util import BLOCK_BYTES, fill_blocks
 from ._util import read_end as _read_end
 from ._util import read_exact as _read_exact
 from .entropy import EntropySource
@@ -170,18 +171,15 @@ def unwhiten_stream(
 
 
 def _blocks(input, chunk_bits, block):
-    """Each block of ``input``, read into the kernel's buffer ``block``, as
-    (a view of its full chunks' bytes, chunk count, tail of whole bytes); a
-    chunk holds at most 8 KiB, so only the last block has a tail, which is
-    copied out. A view stays valid until the next block is read, so neither
-    this loop nor the caller's may use one after that."""
-    block = block[:BLOCK_BYTES]
-    while size := read_into(input, block):
-        chunks, tail_bits = frame(8 * size, chunk_bits)
-        full = size - tail_bits // 8
-        yield block[:full], chunks, block[full:size].tobytes()
-        if size < BLOCK_BYTES:
-            return
+    """Each block of ``input``, read by ``fill_blocks`` into the kernel's
+    buffer ``block``, as (a view of its full chunks' bytes, chunk count,
+    tail of whole bytes); a chunk holds at most 8 KiB, so only the last
+    block has a tail, which is copied out. A view is valid only until the
+    next block is read."""
+    for data in fill_blocks(input, block[:BLOCK_BYTES]):
+        chunks, tail_bits = frame(8 * data.size, chunk_bits)
+        full = data.size - tail_bits // 8
+        yield data[:full], chunks, data[full:].tobytes()
 
 
 def _kernel(pool, inverse: bool):

@@ -66,15 +66,15 @@ def test_regular_file_matches_one_pass(tmp_path, monkeypatch, fill, size):
     data = corpus(fill, size)
     path = write(tmp_path, data)
     monkeypatch.setattr(randtests, "BLOCK_BYTES", BLOCK)
-    pread = mock.Mock(wraps=os.pread)
-    monkeypatch.setattr(os, "pread", pread)
+    preadv = mock.Mock(wraps=os.preadv)
+    monkeypatch.setattr(os, "preadv", preadv)
     for call in (analyze, ent_analyze, nist_lite):
         with open(path, "rb") as fh:
             got = outcome(call, fh)
             assert fh.tell() == size
         assert got == outcome(call, io.BytesIO(data)), call.__name__
     # Only a file of more than one read is read by offset.
-    assert pread.called == (size > 96)
+    assert preadv.called == (size > 96)
 
 
 @pytest.mark.parametrize("skip", (0, 7, 48, 100))
@@ -114,7 +114,7 @@ def test_file_without_pread_takes_one_pass(tmp_path, monkeypatch):
     data = CounterSource("split-no-pread").read_bytes(30_001)
     path = write(tmp_path, data)
     monkeypatch.setattr(randtests, "BLOCK_BYTES", BLOCK)
-    monkeypatch.delattr(os, "pread")
+    monkeypatch.delattr(os, "preadv")
     with open(path, "rb") as fh:
         assert analyze(fh) == analyze(io.BytesIO(data))
 
@@ -149,19 +149,19 @@ def test_merge_at_any_cut_equals_one_pass(make, data):
     assert state(merged) == state(fed(make, raw, read))
 
 
-def failing_pread(failing_thread):
-    """``os.pread`` that fails with EIO in the caller's thread or in the
+def failing_preadv(failing_thread):
+    """``os.preadv`` that fails with EIO in the caller's thread or in the
     worker's, and the error it raises."""
     error = OSError(errno.EIO, "injected read error")
-    real = os.pread
+    real = os.preadv
 
-    def pread(fd, n, offset):
+    def preadv(fd, buffers, offset):
         in_caller = threading.current_thread() is threading.main_thread()
         if in_caller == (failing_thread == "caller"):
             raise error
-        return real(fd, n, offset)
+        return real(fd, buffers, offset)
 
-    return pread, error
+    return preadv, error
 
 
 @pytest.fixture
@@ -177,8 +177,8 @@ def test_read_error_in_either_half_surfaces_in_the_caller(
         tmp_path, monkeypatch, unhandled_thread_errors, failing_thread):
     path = write(tmp_path, CounterSource("split-eio").read_bytes(30_001))
     monkeypatch.setattr(randtests, "BLOCK_BYTES", BLOCK)
-    pread, error = failing_pread(failing_thread)
-    monkeypatch.setattr(os, "pread", pread)
+    preadv, error = failing_preadv(failing_thread)
+    monkeypatch.setattr(os, "preadv", preadv)
     with open(path, "rb") as fh, pytest.raises(OSError) as raised:
         analyze(fh)
     assert raised.value is error
@@ -190,8 +190,8 @@ def test_read_error_in_the_worker_exits_3(tmp_path, monkeypatch, capsys,
                                           unhandled_thread_errors, command):
     path = str(write(tmp_path, CounterSource("split-eio").read_bytes(30_001)))
     monkeypatch.setattr(randtests, "BLOCK_BYTES", BLOCK)
-    pread, _ = failing_pread("worker")
-    monkeypatch.setattr(os, "pread", pread)
+    preadv, _ = failing_preadv("worker")
+    monkeypatch.setattr(os, "preadv", preadv)
     argv = [command, path] if command == "analyze" else [command, path, path]
     assert main(argv) == 3
     assert "I/O error: [Errno 5] injected read error" in capsys.readouterr().err
