@@ -92,6 +92,12 @@ permwhite xor in.bin white.bin x.bin
 sha256sum -c - <<'SUMS'
 5911afe87682218c0354c22415d05f44b284ae4cb0a9a7884e2a599284b3dff8  x.bin
 SUMS
+# xor reads a block of its second input, then as many bytes of its
+# first; with the longer input first or second, it stops at the shorter.
+permwhite xor big.bin in.bin xl.bin
+permwhite xor in.bin big.bin xs.bin
+cmp xl.bin xs.bin
+test "$(stat -c %s xl.bin)" = 100003
 # The same vn, xor and compare through pipes, whose blocks are filled
 # from short reads: each output matches its pin.
 cat in.bin | permwhite vn /dev/stdin pvn.bin

@@ -3,8 +3,8 @@ combiner and the Von Neumann pairwise debiaser, which reads big-endian
 16-bit words through a 65,536-entry table, joins what each 8 input bytes
 keep into one field of at most 32 bits, and places the fields straight
 into output words; it never expands a byte into bits. Both read through
-``_util.fill_blocks``: the combiner into a buffer per stream, the debiaser
-into one step's buffer with room to pad it."""
+``_util.read_into``: the combiner fills a buffer per stream, the second
+stream's first, the debiaser one step's buffer with room to pad it."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._util import BLOCK_BYTES, fill_blocks
+from ._util import BLOCK_BYTES, fill_blocks, read_into
 
 # Bytes per von_neumann step: 64 KiB keeps the step's temporaries in cache.
 _VN_STEP = 1 << 16
@@ -37,13 +37,17 @@ def _word_codes() -> np.ndarray:
 
 
 def xor_combine(a: BinaryIO, b: BinaryIO, out: BinaryIO) -> int:
-    """XOR two byte streams; stops at the shorter one. Returns bytes written."""
+    """XOR two byte streams; stops at the shorter one. Returns bytes written.
+    Each block of ``b`` is read first, then as many bytes of ``a``, so ``a``
+    is never read past the bytes it XORs."""
     written = 0
     bufs = np.empty((2, BLOCK_BYTES), np.uint8)
-    for ba, bb in zip(fill_blocks(a, bufs[0]), fill_blocks(b, bufs[1])):
-        n = min(ba.size, bb.size)
-        out.write(np.bitwise_xor(ba[:n], bb[:n], out=ba[:n]))
-        written += n
+    for bb in fill_blocks(b, bufs[1]):
+        ba = bufs[0, :read_into(a, bufs[0, :bb.size])]
+        out.write(np.bitwise_xor(ba, bb[:ba.size], out=ba))
+        written += ba.size
+        if ba.size < bb.size:
+            break
     return written
 
 

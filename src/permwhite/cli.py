@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 
@@ -66,24 +67,30 @@ CONFIG_KEYS = {
     "unwhiten": ("pool", "trace"),
 }
 
-_REPORT_MAX_BYTES = 64 * 1024  # a real analyze --csv report is under 1 KiB
+# The most bytes read of a report CSV or a config file; a real one is under 1 KiB.
+_TEXT_MAX_BYTES = 64 * 1024
 
 
 def _load_config(path: str, command: str) -> list:
     """``command``'s keys as ``--key=value`` flags: "=" keeps "-1" a value."""
     keys = CONFIG_KEYS.get(command, ())
     settings = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if not sep or not key:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            if key in keys:
-                settings[key] = f"--{key.replace('_', '-')}={value.strip()}"
+    with open(path, "rb") as fh:
+        data = fh.read(_TEXT_MAX_BYTES + 1)
+    if len(data) > _TEXT_MAX_BYTES:
+        raise ValueError(f"{path}: too large for a config file "
+                         f"(over {_TEXT_MAX_BYTES} bytes)")
+    # Lines split as a text file's are, at \n, \r\n or \r.
+    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), "utf-8"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not sep or not key:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        if key in keys:
+            settings[key] = f"--{key.replace('_', '-')}={value.strip()}"
     return list(settings.values())
 
 
@@ -198,8 +205,8 @@ def _read_report(path: str, from_reports: bool):
     with open(path, "rb") as fh:
         if not from_reports:
             return ent_analyze(fh)
-        data = fh.read(_REPORT_MAX_BYTES + 1)
-    if len(data) > _REPORT_MAX_BYTES:
+        data = fh.read(_TEXT_MAX_BYTES + 1)
+    if len(data) > _TEXT_MAX_BYTES:
         raise FormatError(f"{path}: too large for a report CSV")
     try:
         return parse_report_csv(data.decode("utf-8"))

@@ -485,7 +485,8 @@ def _consume(src: BinaryIO, *accumulators) -> tuple:
     file's position, so no Monte Carlo point or 128-bit row straddles it,
     and each accumulator's ``merge`` folds the second half into the first.
     Every sum is an exact integer, so the results are those of one pass,
-    which pipes, in-memory streams and files of one block take.
+    which pipes, in-memory streams and files of one block take. If the
+    caller's half raises, the worker stops at its next block.
     """
     # Looked up here, not bound as a default, so that tests can move block
     # boundaries by patching this module's BLOCK_BYTES.
@@ -504,10 +505,11 @@ def _consume(src: BinaryIO, *accumulators) -> tuple:
     cut = start + max(48, (stop - start) // 96 * 48)
     later = [type(acc)() for acc in accumulators]
     failed = []
+    halt = threading.Event()
 
     def second_half():
         try:
-            _feed(later, blocks(_Range(fd, cut, stop)), size)
+            _feed(later, blocks(_Range(fd, cut, stop)), size, halt)
         except BaseException as exc:    # raised again in the caller
             failed.append(exc)
 
@@ -515,6 +517,9 @@ def _consume(src: BinaryIO, *accumulators) -> tuple:
     worker.start()
     try:
         _feed(accumulators, blocks(_Range(fd, start, cut)), size)
+    except BaseException:
+        halt.set()      # the worker's half is moot: it stops at its next block
+        raise
     finally:
         worker.join()
     if failed:
@@ -554,11 +559,12 @@ def _file_range(src: BinaryIO, size: int):
     return fd, src.tell(), info.st_size
 
 
-def _feed(accumulators, blocks, size: int) -> None:
+def _feed(accumulators, blocks, size: int, halt=None) -> None:
     """Feed every block of ``blocks`` and its histogram to each accumulator
-    as ``update(block, counts, work)``. ``work`` is the one scratch array
-    of ``4 * size`` bytes that serves the whole pass: the histogram's index,
-    then each accumulator in turn. Made once, it spares the allocator a
+    as ``update(block, counts, work)``, reading no further block once the
+    event ``halt`` is set. ``work`` is the one scratch array of ``4 * size``
+    bytes that serves the whole pass: the histogram's index, then each
+    accumulator in turn. Made once, it spares the allocator a
     block-sized request per read. Block-sized temporaries freed after every
     read can let it return the heap's top to the kernel, which then faults
     the pages in again on the next read, at about half the speed. Each
@@ -568,6 +574,8 @@ def _feed(accumulators, blocks, size: int) -> None:
         counts = _byte_counts(block, work)
         for acc in accumulators:
             acc.update(block, counts, work)
+        if halt is not None and halt.is_set():
+            return
 
 
 def analyze(src: BinaryIO) -> tuple[EntReport, NistLiteReport]:

@@ -24,15 +24,16 @@ turns the planes back into rows. Each member's plane-order map is built
 from its map the first time a block of a call selects it; unwhitening
 scatters it into its inverse.
 
-Each thread keeps across calls what the kernels read into and work in, so a
-process that whitens file after file does not fault those pages in again:
-- the sliced kernel's two buffers, each sized for a full block's rows plus
-  7 pad rows for each member the block can select, 2 x 1.22 MiB at n=13,
-  M=32 and 2 x 8 MiB at n=16, M=300;
-- its plane maps, M x 2^n x 2 bytes once every member has been selected:
-  0.5 MiB at n=13, M=32, and up to 37.5 MiB at n=16, M=300;
-- the table kernel's 1 MiB input buffer, whose pages a short input never
-  touches and so never makes resident.
+Each thread keeps one kernel's state across calls, so a process that
+whitens file after file with one pool shape faults no pages in again: the
+table kernel's 1 MiB input buffer, which a short input never makes
+resident, or the sliced kernel's pair of buffers, each sized for a block's
+rows plus 7 pad rows for each member it can select, with a slot per member
+for its plane map (2^n x 2 bytes), made when a block first selects it. The
+state is made afresh when its shape changes, and kept only if it fits
+4 MiB with every map made: 2 x 1.22 + 0.5 = 2.94 MiB at n=13, M=32. A
+larger one is made for the call and dropped with it: 9.5 MiB at n=16,
+M=32 and 53.5 MiB at n=16, M=300.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def _table_kernel(columns, inverse):
             out |= tables.take(idx) << shift
         return out
 
-    return _buffers("block", 1, BLOCK_BYTES)[0], process
+    return _kept("table", BLOCK_BYTES, lambda: np.empty(BLOCK_BYTES, np.uint8)), process
 
 
 # Warren, Hacker's Delight, 7-3: transpose an 8x8 bit matrix by three rounds
@@ -293,30 +294,21 @@ def _plane_map(bit_map: np.ndarray) -> np.ndarray:
     return ((bit & 7) * chunk_bytes + (bit >> 3)).reshape(-1)
 
 
-# What a thread keeps across blocks and calls, so that the pages are not
-# faulted in afresh: the table kernel's input block, the sliced kernel's two
-# block buffers and its members' plane maps. A buffer grows to the largest
-# size its thread has asked for; the maps belong to the last pool shape.
+# The most state a thread keeps after a call; see the module docstring.
+_KEPT_BYTES = 4 << 20
 _held = threading.local()
 
 
-def _buffers(name, count, size):
-    """This thread's ``count`` buffers kept as ``name``, of ``size`` bytes or more."""
-    held = getattr(_held, name, None)
-    if held is None or held[0].size < size:
-        setattr(_held, name, None)  # the smaller go before the larger are made
-        held = [np.empty(size, dtype=np.uint8) for _ in range(count)]
-        setattr(_held, name, held)
-    return held
-
-
-def _plane_maps(count, chunk_bits):
-    """This thread's slots for the plane maps of a pool of ``count`` members
-    of ``chunk_bits`` bits, each None until a member first needs one."""
-    if getattr(_held, "maps_shape", None) != (count, chunk_bits):
-        _held.maps = [None] * count
-        _held.maps_shape = (count, chunk_bits)
-    return _held.maps
+def _kept(key, nbytes, make):
+    """This thread's kernel state for ``key``, what sizes it: the one it kept
+    if the key matches, else a new ``make()``, kept if its ``nbytes`` fit."""
+    if getattr(_held, "key", None) != key:
+        _held.key = _held.state = None  # the old state goes before the new is made
+        state = make()
+        if nbytes <= _KEPT_BYTES:
+            _held.key, _held.state = key, state
+        return state
+    return _held.state
 
 
 def _sliced_kernel(maps, inverse):
@@ -338,12 +330,16 @@ def _sliced_kernel(maps, inverse):
     key_dtype = np.min_scalar_type(count - 1)
     # A full block's rows, plus at most 7 pad rows per member it selects.
     block_rows = BLOCK_BYTES // chunk_bytes
-    pair = _buffers("pair", 2, (block_rows + 7 * min(count, block_rows)) * chunk_bytes)
-    planes_of = _plane_maps(count, chunk_bits)
+    size = (block_rows + 7 * min(count, block_rows)) * chunk_bytes
+    # Two buffers, each word-aligned as an allocation of its own, and a slot
+    # per member for its plane map.
+    pair, planes_of = _kept((count, chunk_bits), 2 * size + 2 * count * chunk_bits,
+                            lambda: ([np.empty(size, np.uint8) for _ in range(2)],
+                                     [None] * count))
     built = [False] * count
 
     def plane_map(m):
-        # The slots outlive the call, so each map is rebuilt in place.
+        # Kept slots outlive the call, so each map is rebuilt in place.
         if not built[m]:
             if planes_of[m] is None:
                 planes_of[m] = np.empty(chunk_bits, dtype=np.uint16)

@@ -237,3 +237,29 @@ def test_word_table_is_built_on_first_use():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+class CountingReads(io.BytesIO):
+    """Counts the bytes that ``read`` and ``readinto`` give."""
+
+    given = 0
+
+    def read(self, n=-1):
+        got = super().read(n)
+        self.given += len(got)
+        return got
+
+    def readinto(self, buf):
+        got = super().readinto(buf)
+        self.given += got
+        return got
+
+
+@pytest.mark.parametrize("len_a, len_b", [(3 * B, B), (2 * B + 7, B + 5), (B, 3 * B)])
+def test_xor_reads_the_first_stream_no_further_than_it_xors(len_a, len_b):
+    # The second stream's block is read first, then as many bytes of the
+    # first: a pipe as the first input loses no byte past the output.
+    a = CountingReads(CounterSource("xor-a").read_bytes(len_a))
+    b = io.BytesIO(CounterSource("xor-b").read_bytes(len_b))
+    assert xor_combine(a, b, io.BytesIO()) == min(len_a, len_b)
+    assert a.given == min(len_a, len_b)

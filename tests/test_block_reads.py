@@ -6,7 +6,9 @@ is full: each gives the bytes a regular file gives. No block-sized bytes
 object is held beside the kernel's buffers, so a warm thread whitens a file
 in little more memory than its draws and sort keys. Each member's
 plane-order map is kept per thread, and unwhitening inverts it there, by
-scattering, never through ``IndexPermutation.invert``."""
+scattering, never through ``IndexPermutation.invert``. A thread keeps its
+kernel's state only when it fits 4 MiB: a larger one does not outlive the
+call."""
 
 import io
 import threading
@@ -168,3 +170,34 @@ def test_sliced_path_unwhitens_without_inverting_members(n_qubits):
         unwhiten_stream(io.BytesIO(white), pool, trace, out)
     assert spy.call_count == 0
     assert out.getvalue() == data
+
+
+@pytest.mark.parametrize("count", [300, 32])
+def test_a_large_state_does_not_outlive_the_call(count):
+    # At n=16 the buffer pair and plane maps take 53.5 MiB with 300 members
+    # and 9.5 MiB with 32, past the 4 MiB a thread keeps, so after the calls
+    # it holds no more than the bound and the cached transpose masks. A
+    # fresh thread, so that nothing it keeps was made before tracing began;
+    # what it keeps is measured before it ends and frees its state.
+    pool = random_pool(16, count, 600 + count)
+    data = CounterSource(f"kept-in-{count}").read_bytes(4 * MIB)
+    masks = sum(mask.nbytes for _, _, mask in _transpose_rounds(8192))
+    kept = []
+
+    def run():
+        white, trace, _ = whiten(io.BytesIO(data), pool)
+        back = io.BytesIO()
+        unwhiten_stream(io.BytesIO(white), pool, trace, back)
+        assert back.getvalue() == data
+        del white, trace, back
+        kept.append(tracemalloc.get_traced_memory()[0])
+
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        tracemalloc.stop()
+    assert not thread.is_alive()
+    assert kept and kept[0] <= 4 * MIB + masks, [k / MIB for k in kept]

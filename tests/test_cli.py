@@ -779,6 +779,23 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["64KiB", "64KiB+1"])
+def test_config_file_is_read_to_a_bound(tmp_path, capsys, extra):
+    # One comment line with no newline: accepted at 64 KiB, refused by name
+    # at one byte more.
+    config = tmp_path / "big.conf"
+    config.write_bytes(b"#" * (64 * 1024 + extra))
+    out = tmp_path / "x.pool"
+    rc = run_cli("gen-pool", str(out), "--n-qubits", "2", "--count", "3",
+                 "--source", "det", "--config", str(config))
+    if extra:
+        assert rc == 2
+        assert f"{config}: too large for a config file" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert rc == 0 and out.exists()
+
+
 def test_config_key_not_honoured_by_analyze(tmp_path, capsys):
     src = tmp_path / "in.bin"
     src.write_bytes(CounterSource("cli-conf").read_bytes(30_000))

@@ -196,3 +196,32 @@ def test_read_error_in_the_worker_exits_3(tmp_path, monkeypatch, capsys,
     assert main(argv) == 3
     assert "I/O error: [Errno 5] injected read error" in capsys.readouterr().err
     assert unhandled_thread_errors == []
+
+
+@pytest.mark.parametrize("error", (OSError(errno.EIO, "injected read error"),
+                                   KeyboardInterrupt()), ids=("EIO", "interrupt"))
+def test_the_worker_stops_when_the_callers_half_raises(
+        tmp_path, monkeypatch, unhandled_thread_errors, error):
+    # The worker's first read waits for the caller's read to raise, so every
+    # worker read comes after it. The worker then stops at its next block
+    # instead of reading the rest of its half (about 150 reads here).
+    path = write(tmp_path, CounterSource("split-stop").read_bytes(30_001))
+    monkeypatch.setattr(randtests, "BLOCK_BYTES", BLOCK)
+    raised = threading.Event()
+    worker_reads = []
+
+    class Range(randtests._Range):
+        def readinto(self, buf):
+            if threading.current_thread() is threading.main_thread():
+                raised.set()
+                raise error
+            assert raised.wait(timeout=60)
+            worker_reads.append(self.pos)
+            return super().readinto(buf)
+
+    monkeypatch.setattr(randtests, "_Range", Range)
+    with open(path, "rb") as fh, pytest.raises(type(error)) as caught:
+        analyze(fh)
+    assert caught.value is error
+    assert len(worker_reads) <= 1, worker_reads
+    assert unhandled_thread_errors == []
